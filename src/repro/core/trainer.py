@@ -121,6 +121,37 @@ class PlainEdgeTask(TrainTask):
         return sgns_step(center, context, batch.src, batch.dst, batch.neg, lr)
 
 
+def _word_table(
+    records: list[RecordUnits],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records' word ids in CSR form: ``(flat, starts, lengths)``.
+
+    Record ``r`` owns ``flat[starts[r]:starts[r] + lengths[r]]``.
+    """
+    lengths = np.asarray([len(r.word_nodes) for r in records], dtype=np.int64)
+    starts = np.zeros(len(records), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    flat = np.fromiter(
+        (w for r in records for w in r.word_nodes),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    return flat, starts, lengths
+
+
+def _bag_batch(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Word-table positions and ``(B + 1,)`` offsets of a batch of bags.
+
+    Bag ``b`` is ``[starts[b], starts[b] + lengths[b])`` of a
+    :func:`_word_table`; the positions list the bags back to back.
+    """
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    shift = np.repeat(starts - offsets[:-1], lengths)
+    return np.arange(offsets[-1]) + shift, offsets
+
+
 class BagToUnitTask(TrainTask):
     """Record bag-of-words (summed word vectors) predicts the record's unit.
 
@@ -128,6 +159,8 @@ class BagToUnitTask(TrainTask):
     LW and WT edge types: one positive example per sampled record, with the
     record weighted by its word count (matching edge-proportional
     sampling), negatives drawn from the unit side's noise distribution.
+    The records' words are stored once in CSR form, so a batch is built
+    with a few array operations.
     """
 
     def __init__(
@@ -144,24 +177,21 @@ class BagToUnitTask(TrainTask):
         if not eligible:
             raise ValueError("no records with words for bag-of-words training")
         self.name = f"bow:{edge_type.value}"
-        self._words = [np.asarray(r.word_nodes, dtype=np.int64) for r in eligible]
+        self._flat, self._starts, self._lengths = _word_table(eligible)
         units = [
             r.location_node if unit_of == "location" else r.time_node
             for r in eligible
         ]
         self._units = np.asarray(units, dtype=np.int64)
-        self._weights = np.asarray([len(w) for w in self._words], dtype=np.float64)
         self._noise = noise
         self._negatives = negatives
-        self._record_table = AliasTable(self._weights)
+        self._record_table = AliasTable(self._lengths.astype(np.float64))
 
     def step(self, center, context, batch_size, lr, rng):
         """One bag-of-words step: record bags predict their L/T unit."""
         idx = self._record_table.sample(batch_size, seed=rng)
-        bags = [self._words[i] for i in idx]
-        flat = np.concatenate(bags)
-        lengths = np.asarray([b.size for b in bags])
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        positions, offsets = _bag_batch(self._starts[idx], self._lengths[idx])
+        flat = self._flat[positions]
         dst = self._units[idx]
         neg = self._noise.sample((batch_size, self._negatives), rng)
         return sgns_step_bow(center, context, flat, offsets, dst, neg, lr)
@@ -172,7 +202,10 @@ class BagToWordTask(TrainTask):
 
     Records with at least two (not necessarily distinct) in-vocabulary word
     occurrences are eligible; the target position is uniform within the
-    record and the remaining occurrences form the bag.
+    record and the remaining occurrences form the bag.  As in
+    :class:`BagToUnitTask` the words are stored in CSR form; all target
+    positions of a batch come from one ``rng.integers(lengths)`` call,
+    which reads the generator stream exactly as one scalar call per record.
     """
 
     def __init__(
@@ -185,25 +218,23 @@ class BagToWordTask(TrainTask):
         if not eligible:
             raise ValueError("no records with >= 2 words for WW bag training")
         self.name = "bow:WW"
-        self._words = [np.asarray(r.word_nodes, dtype=np.int64) for r in eligible]
-        weights = np.asarray([w.size for w in self._words], dtype=np.float64)
+        self._flat, self._starts, self._lengths = _word_table(eligible)
         self._noise = noise
         self._negatives = negatives
-        self._record_table = AliasTable(weights)
+        self._record_table = AliasTable(self._lengths.astype(np.float64))
 
     def step(self, center, context, batch_size, lr, rng):
         """One bag-of-words step: record bags predict a member word."""
         idx = self._record_table.sample(batch_size, seed=rng)
-        bags: list[np.ndarray] = []
-        targets = np.empty(batch_size, dtype=np.int64)
-        for b, i in enumerate(idx):
-            words = self._words[i]
-            t = int(rng.integers(words.size))
-            targets[b] = words[t]
-            bags.append(np.delete(words, t))
-        flat = np.concatenate(bags)
-        lengths = np.asarray([b.size for b in bags])
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        starts = self._starts[idx]
+        lengths = self._lengths[idx]
+        target_pos = rng.integers(lengths)
+        targets = self._flat[starts + target_pos]
+        # Each bag is its record minus the target: positions at or past
+        # the target shift up by one.
+        positions, offsets = _bag_batch(starts, lengths - 1)
+        positions += positions >= np.repeat(starts + target_pos, lengths - 1)
+        flat = self._flat[positions]
         neg = self._noise.sample((batch_size, self._negatives), rng)
         return sgns_step_bow(center, context, flat, offsets, targets, neg, lr)
 

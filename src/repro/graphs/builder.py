@@ -123,11 +123,13 @@ class GraphBuilder:
         for word in self.vocab.words:
             activity.add_node(NodeType.WORD, word)
 
-        record_units: list[RecordUnits] = []
-        for record in corpus:
-            record_units.append(
-                self._add_record(record, activity, interaction)
-            )
+        # Snap every record to its hotspots: one vectorized call per modality.
+        spatial = self.detector.assign_spatial(corpus.locations())
+        temporal = self.detector.assign_temporal(corpus.timestamps())
+        record_units = [
+            self._add_record(record, int(s), int(t), activity, interaction)
+            for record, s, t in zip(corpus, spatial, temporal)
+        ]
 
         if self.neighbor_smoothing:
             self._add_smoothing_edges(activity)
@@ -188,12 +190,11 @@ class GraphBuilder:
     def _add_record(
         self,
         record: Record,
+        spatial_idx: int,
+        temporal_idx: int,
         activity: ActivityGraph,
         interaction: UserInteractionGraph,
     ) -> RecordUnits:
-        spatial_idx, temporal_idx = self.detector.assign_record(
-            record.location, record.timestamp
-        )
         t_node = activity.index_of(NodeType.TIME, temporal_idx)
         l_node = activity.index_of(NodeType.LOCATION, spatial_idx)
         word_nodes = tuple(

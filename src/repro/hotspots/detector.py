@@ -196,9 +196,3 @@ class HotspotDetector:
         diff = np.abs(hours[:, None] - hotspots[None, :])
         circular = np.minimum(diff, self.period - diff)
         return circular.argmin(axis=1).astype(np.int64)
-
-    def assign_record(self, location: tuple[float, float], timestamp: float) -> tuple[int, int]:
-        """``(spatial_idx, temporal_idx)`` for one record's coordinates."""
-        s = int(self.assign_spatial(np.asarray(location)[None, :])[0])
-        t = int(self.assign_temporal(np.asarray([timestamp]))[0])
-        return s, t

@@ -203,3 +203,68 @@ class TestOnRealisticCorpus:
             degrees = activity.degrees(edge_type)
             assert (degrees[edge_set.src] > 0).all()
             assert (degrees[edge_set.dst] > 0).all()
+
+
+class TestBatchedHotspotAssignment:
+    """``build`` snaps all records in one call per modality; the graph must
+    be exactly the one a record-at-a-time assignment gives."""
+
+    @staticmethod
+    def one_record_at_a_time(detector):
+        """Make ``detector`` answer each batched call one record per call."""
+        spatial, temporal = detector.assign_spatial, detector.assign_temporal
+        detector.assign_spatial = lambda locations: np.concatenate(
+            [spatial(np.asarray([loc], dtype=float)) for loc in locations]
+        )
+        detector.assign_temporal = lambda timestamps: np.concatenate(
+            [temporal(np.asarray([ts], dtype=float)) for ts in timestamps]
+        )
+        return detector
+
+    @pytest.mark.parametrize("kind", ["meanshift", "grid"])
+    def test_per_record_and_batched_assignment_build_the_same_graph(
+        self, corpus, kind
+    ):
+        from repro.hotspots.grid import GridDetector
+
+        def fitted():
+            if kind == "grid":
+                return GridDetector(cell_km=1.0, min_support=1).fit(corpus)
+            return HotspotDetector().fit(corpus)
+
+        calls = []
+        batched_detector = fitted()
+        for name in ("assign_spatial", "assign_temporal"):
+            method = getattr(batched_detector, name)
+
+            def counted(values, method=method):
+                calls.append(method.__name__)
+                return method(values)
+
+            setattr(batched_detector, name, counted)
+        batched = GraphBuilder(detector=batched_detector).build(corpus)
+        per_record = GraphBuilder(
+            detector=self.one_record_at_a_time(fitted())
+        ).build(corpus)
+
+        assert sorted(calls) == ["assign_spatial", "assign_temporal"]
+        # Each record's units are the hotspots its own coordinates snap to.
+        detector = fitted()
+        activity = batched.activity
+        for record, units in zip(corpus, batched.record_units):
+            spatial = detector.assign_spatial([record.location])[0]
+            temporal = detector.assign_temporal([record.timestamp])[0]
+            assert units.location_node == activity.index_of(
+                NodeType.LOCATION, spatial
+            )
+            assert units.time_node == activity.index_of(NodeType.TIME, temporal)
+        assert batched.record_units == per_record.record_units
+        assert batched.activity.n_nodes == per_record.activity.n_nodes
+        for edge_type in EdgeType:
+            if edge_type not in batched.activity.edge_sets:
+                assert edge_type not in per_record.activity.edge_sets
+                continue
+            got = batched.activity.edge_set(edge_type)
+            want = per_record.activity.edge_set(edge_type)
+            for field in ("src", "dst", "weight"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -84,7 +84,8 @@ class TestAssign:
         assert len(set(same_hour.tolist())) == 1
 
     def test_assign_record(self, detector):
-        s, t = detector.assign_record((2.0, 2.0), 9.2)
+        s = detector.assign_spatial([(2.0, 2.0)])[0]
+        t = detector.assign_temporal([9.2])[0]
         assert np.linalg.norm(detector.spatial_hotspots[s] - [2, 2]) < 0.5
         assert detector.temporal_hotspots[t] == pytest.approx(9.0, abs=0.5)
 

@@ -47,7 +47,8 @@ class TestFit:
         assert any(abs(h - 21.0) <= 1.0 for h in hours)
 
     def test_assign_roundtrip(self, detector):
-        s, t = detector.assign_record((2.0, 2.0), 9.2)
+        s = detector.assign_spatial([(2.0, 2.0)])[0]
+        t = detector.assign_temporal([9.2])[0]
         assert np.linalg.norm(detector.spatial_hotspots[s] - [2, 2]) < 1.0
         assert abs(detector.temporal_hotspots[t] - 9.0) < 1.5
 
