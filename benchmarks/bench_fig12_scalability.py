@@ -6,16 +6,18 @@
     multi-core hardware;
 (c) weak scaling: workers and samples grow together: expected sub-linear
     wall-clock growth (flat in the paper's C++);
-(d) shard scaling: scatter-gather serve throughput, shard counts
-    K in {1, 2, 4, 8}: merged top-k must stay rank-identical to the
-    unsharded engine at every K (hard gate), and K=4 should out-serve
-    K=1 when real cores back the fan-out threads.  Results are emitted
-    to ``BENCH_shard_scaling.json``.
+(d) shard scaling: the model exported as a K-shard bundle, K in
+    {1, 2, 4, 8}, mapped back with ``load_bundle(mmap=True)`` and served
+    through the engine ``QueryServer.build_engine`` returns.  Rankings
+    must equal K=1 bit for bit in every modality, and K=4 word-neighbor
+    time must stay within 1.1x of K=1: K is a storage layout and costs
+    nothing at query time.  Results are emitted to
+    ``BENCH_shard_scaling.json``.
 
 Parallelism uses the lock-free shared-memory process pool
 (:class:`repro.embedding.HogwildPool`), the honest NumPy equivalent of the
 paper's pthreads Hogwild.  Speedup is physically bounded by the machine:
-on a single-core host (CI containers!) 12b/12c/12d can only demonstrate
+on a single-core host (CI containers!) 12b/12c can only demonstrate
 bounded overhead, so those assertions are conditioned on the detected
 core count and the full series is always printed for the record.
 """
@@ -31,10 +33,10 @@ import numpy as np
 import pytest
 
 from repro import Actor
-from repro.core import ActorConfig, QueryEngine
+from repro.core import ActorConfig, load_bundle, save_bundle
 from repro.eval import edges_scaling, format_table, strong_scaling, weak_scaling
 from repro.graphs import GraphBuilder
-from repro.sharding import ShardedQueryEngine
+from repro.serving import QueryServer
 
 from common import SEED
 
@@ -161,7 +163,9 @@ def test_fig12c_weak_scaling(benchmark, scale_built, scale_config):
 
 SHARD_COUNTS = (1, 2, 4, 8)
 SHARD_QUERIES = 200
+SHARD_ROUNDS = 15
 SHARD_MODALITIES = ("word", "time", "location", "user")
+MAX_K4_TIME_RATIO = 1.1
 
 
 @pytest.fixture(scope="module")
@@ -170,88 +174,79 @@ def shard_model(datasets, scale_config):
 
 
 @pytest.mark.benchmark(group="fig12d-shards")
-def test_fig12d_shard_scaling(benchmark, shard_model):
-    """Scatter-gather serve throughput vs shard count, parity-gated."""
+def test_fig12d_shard_scaling(benchmark, shard_model, tmp_path):
+    """Serving a K-shard bundle vs K, parity- and time-gated against K=1."""
     rng = np.random.default_rng(SEED)
-    baseline = QueryEngine(shard_model)
     parity_queries = {
         modality: rng.standard_normal((5, shard_model.dim))
         for modality in SHARD_MODALITIES
     }
-    reference = {
-        modality: [baseline.neighbors(q, modality, 10) for q in queries]
-        for modality, queries in parity_queries.items()
-    }
     timed = rng.standard_normal((SHARD_QUERIES, shard_model.dim))
+
+    engines = {}
+    for n_shards in SHARD_COUNTS:
+        root = tmp_path / f"bundle-k{n_shards}"
+        save_bundle(shard_model, root, shards=n_shards)
+        # The engine QueryServer.build_engine picks, as `repro serve` runs.
+        engines[n_shards] = QueryServer(load_bundle(root, mmap=True)).engine
+        engines[n_shards].model.modality_cache("word")  # warm the cache
+
+    def rankings(engine):
+        return {
+            modality: [engine.neighbors(q, modality, 10) for q in queries]
+            for modality, queries in parity_queries.items()
+        }
+
+    reference = rankings(engines[1])
+    parity = {k: rankings(engine) == reference for k, engine in engines.items()}
+
+    # Every round times each K once, rotating their order, so a slow
+    # phase of a shared host hits every K alike.  The gate compares K=4
+    # with K=1 within each round and takes the median of those ratios.
+    samples: dict = {k: [] for k in SHARD_COUNTS}
+    for r in range(SHARD_ROUNDS):
+        shift = r % len(SHARD_COUNTS)
+        for n_shards in SHARD_COUNTS[shift:] + SHARD_COUNTS[:shift]:
+            engine = engines[n_shards]
+            start = time.perf_counter()
+            for q in timed:
+                engine.neighbors(q, "word", 10)
+            samples[n_shards].append(time.perf_counter() - start)
+    seconds = {k: float(np.median(v)) for k, v in samples.items()}
+    ratio = float(np.median(np.divide(samples[4], samples[1])))
+    benchmark.pedantic(
+        engines[4].neighbors, args=(timed[0], "word", 10), rounds=1,
+        iterations=1,
+    )
 
     report: dict = {
         "bench": "shard_scaling",
         "n_cores": N_CORES,
         "timed_queries": SHARD_QUERIES,
+        "rounds": SHARD_ROUNDS,
         "k": 10,
-        "shards": {},
-    }
-    rows = []
-    for n_shards in SHARD_COUNTS:
-        engine = ShardedQueryEngine(shard_model, n_shards=n_shards)
-        # Every K must reproduce the unsharded ranking bit-exactly —
-        # this is the merge contract the serving fleet depends on, so
-        # it gates unconditionally (unlike the throughput shape below).
-        parity = all(
-            engine.neighbors(q, modality, 10) == reference[modality][i]
-            for modality, queries in parity_queries.items()
-            for i, q in enumerate(queries)
-        )
-        assert parity, f"K={n_shards} merged top-k diverges from unsharded"
-
-        engine.replicas_for("word")  # warm: time serving, not the build
-        start = time.perf_counter()
-        for q in timed:
-            engine.neighbors(q, "word", 10)
-        seconds = time.perf_counter() - start
-        qps = SHARD_QUERIES / seconds
-        report["shards"][str(n_shards)] = {
-            "qps": round(qps, 1),
-            "seconds": round(seconds, 4),
-            "scatter_threads": engine.scatter_threads,
-            "rank_parity": parity,
-        }
-        rows.append(
-            [n_shards, engine.scatter_threads, round(seconds, 4),
-             round(qps, 1), parity]
-        )
-    benchmark.pedantic(
-        lambda: ShardedQueryEngine(shard_model, n_shards=4).neighbors(
-            timed[0], "word", 10
-        ),
-        rounds=1,
-        iterations=1,
-    )
-
-    base_s = report["shards"]["1"]["seconds"]
-    quad_s = report["shards"]["4"]["seconds"]
-    speedup = base_s / quad_s
-    report["speedup_k4_vs_k1"] = round(speedup, 3)
-    report["throughput_gate"] = {
-        "required_speedup": 2.0,
-        "enforced": N_CORES >= 4,
+        "shards": {
+            str(k): {
+                "engine": type(engines[k]).__name__,
+                "seconds": round(seconds[k], 5),
+                "qps": round(SHARD_QUERIES / seconds[k], 1),
+                "rank_parity": parity[k],
+            }
+            for k in SHARD_COUNTS
+        },
+        "time_ratio_k4_vs_k1": round(ratio, 3),
+        "max_time_ratio": MAX_K4_TIME_RATIO,
     }
     out = Path("BENCH_shard_scaling.json")
     out.write_text(json.dumps(report, indent=2) + "\n")
 
-    headers = ["shards", "threads", "seconds", "queries/s", "parity"]
+    headers = ["shards", "engine", "median s", "queries/s", "parity"]
+    rows = [[k, *report["shards"][str(k)].values()] for k in SHARD_COUNTS]
     print()
     print(format_table(headers, rows, title="Fig. 12d — shard scaling"))
-    print(f"K=4 vs K=1 speedup: {speedup:.2f}x; wrote {out}")
+    print(f"K=4 / K=1 word-neighbor time: {ratio:.3f}x; wrote {out}")
 
-    print(f"(detected {N_CORES} usable cores)")
-    if N_CORES >= 4:
-        # A full thread per shard: demand the acceptance-target speedup.
-        assert speedup >= 2.0, report["shards"]
-    elif N_CORES >= 2:
-        # Partial parallelism: demand a real, if smaller, speedup.
-        assert speedup > 1.0, report["shards"]
-    else:
-        # Single core: the fan-out is serialized, so K=4 can only show
-        # bounded coordination overhead over the single-shard scan.
-        assert quad_s < 4.0 * base_s, report["shards"]
+    # Every K serves through the same engine over the same assembled
+    # matrix, so rankings are bit-exact and K=4 costs what K=1 does.
+    assert all(parity.values()), parity
+    assert ratio <= MAX_K4_TIME_RATIO, report["shards"]

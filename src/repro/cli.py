@@ -14,7 +14,7 @@ Usage (also available as ``python -m repro``)::
     repro export   --model model.pkl --out bundle/   # pickle-free bundle
     repro export   --model model.pkl --out bundle/ --shards 4 \
                    --fleet-size 2                    # sharded v3 bundle
-    repro serve    --model bundle/ --mmap --shards 4  # scatter-gather
+    repro serve    --model bundle/ --mmap            # any format, any K
     repro stream   --model model.pkl --corpus new.jsonl --metrics \
                    --checkpoint ckpt/               # online adaptation
     repro stream   --model model.pkl --corpus more.jsonl --resume ckpt/
@@ -151,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument(
         "--shards", type=int, default=1, metavar="K",
         help="hash-partition the embedding store over K shards "
-        "(repro.sharding); per-shard training utilization lands in the "
-        "train.pool.shard_utilization.* gauges (default: 1 = unsharded)",
+        "(repro.sharding); training still updates the assembled global "
+        "matrices, so K sets the storage layout only (default: 1 = "
+        "unsharded)",
     )
 
     ev = sub.add_parser(
@@ -218,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--shards", type=int, default=1, metavar="K",
         help="write a format-v3 sharded bundle: the embedding matrices "
-        "are hash-partitioned into K per-shard sidecars a scatter-gather "
-        "server fans out over (default: 1 = plain v2 bundle)",
+        "are hash-partitioned into K per-shard sidecars; it serves the "
+        "same rankings as a v2 bundle (default: 1 = plain v2 bundle)",
     )
     export.add_argument(
         "--fleet-size", type=int, metavar="N",
@@ -370,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ann-nprobe", type=int, default=8, metavar="N",
         help="lists probed per neighbor query (default: 8; nprobe == "
         "nlist is exact coverage — see docs/operations.md for tuning)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="K",
-        help="scatter-gather fan-out width for /v1/neighbors (0 = "
-        "auto: sharded format-v3 bundles fan out over their own shard "
-        "count, anything else serves unsharded); merged rankings are "
-        "bit-exact against the unsharded engine either way",
     )
     serve.add_argument(
         "--no-coalesce", action="store_true",
@@ -998,7 +992,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ann=args.ann,
         ann_nlist=args.ann_nlist,
         ann_nprobe=args.ann_nprobe,
-        shards=args.shards,
         trace_requests=not args.no_request_trace,
         trace_ring_size=args.trace_ring_size,
         slow_request_ms=args.slow_request_ms,
@@ -1030,25 +1023,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     mode = "coalesced" if server.coalesce else "per-request"
     n_shards = server.shards_for(model)
     if n_shards > 1:
-        mode += f"; {n_shards}-shard scatter-gather"
+        mode += f"; {n_shards}-shard bundle"
     if args.ann:
         status = server.engine.ann_status()
-
-        def _index_note(modality: str, entry: dict) -> str:
-            if "shards" in entry:  # sharded: one IVF index per shard
-                rows = sum(s["rows"] for s in entry["shards"])
-                seconds = sum(s["build_seconds"] for s in entry["shards"])
-                return (
-                    f"{modality}: {rows} rows / "
-                    f"{len(entry['shards'])} shard indexes in {seconds:.3f}s"
-                )
-            return (
-                f"{modality}: {entry['rows']} rows / {entry['nlist']} "
-                f"lists in {entry['build_seconds']:.3f}s"
-            )
-
         built = ", ".join(
-            _index_note(m, s) for m, s in sorted(status["indexes"].items())
+            f"{modality}: {entry['rows']} rows / {entry['nlist']} lists "
+            f"in {entry['build_seconds']:.3f}s"
+            for modality, entry in sorted(status["indexes"].items())
         )
         mode += f"; ann nprobe={status['nprobe']} ({built})"
     if manager is not None:

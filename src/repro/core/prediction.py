@@ -395,8 +395,9 @@ class GraphEmbeddingModel:
         """
         cache: dict = self.__dict__.setdefault("_modality_caches", {})
         entry = cache.get(modality)
-        stamp = (self.query_version, id(self.center))
-        if entry is not None and entry[0] == stamp and entry[2] is self.center:
+        center = self.center
+        stamp = (self.query_version, id(center))
+        if entry is not None and entry[0] == stamp and entry[2] is center:
             return entry[1]
         keys, rows = self.modality_rows(modality)
         matrix = self.store.view(rows)
@@ -422,7 +423,7 @@ class GraphEmbeddingModel:
         # Hold a reference to the center matrix the cache was built from so
         # identity comparison stays meaningful (the array cannot be garbage
         # collected and its id reused).
-        cache[modality] = (stamp, built, self.center)
+        cache[modality] = (stamp, built, center)
         return built
 
     def query_engine(self):
@@ -453,7 +454,7 @@ class GraphEmbeddingModel:
         if norm > 0:
             # einsum, not gemv: per-row accumulation order is independent
             # of row position, so a shard-local gather scores bit-equal
-            # to this full scan (the scatter-gather parity contract).
+            # to this full scan (the merge contract, docs/architecture.md).
             scores = np.einsum("nd,d->n", cache.normalized, query / norm)
         else:
             scores = np.zeros(cache.matrix.shape[0])

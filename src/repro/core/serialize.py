@@ -311,7 +311,7 @@ def save_bundle(
     if shards > 1:
         manifest["sharding"] = {
             "n_shards": shards,
-            "partitioner": "splitmix64",
+            "partitioner": HashPartitioner.name,
         }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
     return directory
@@ -339,7 +339,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
     store: EmbeddingStore | None = None
     center = context = None
     if version == 3:
-        from repro.sharding import ShardedStore, shard_subdir
+        from repro.sharding import HashPartitioner, ShardedStore, shard_subdir
 
         sharding = _require(
             manifest, "sharding", version=version, directory=directory
@@ -351,10 +351,11 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
                 f"sharding.n_shards {n_shards!r}"
             )
         partitioner = sharding.get("partitioner")
-        if partitioner != "splitmix64":
+        if partitioner != HashPartitioner.name:
             raise BundleFormatError(
                 f"bundle at {directory} (format v3) uses unknown "
-                f"partitioner {partitioner!r}; this build reads 'splitmix64'"
+                f"partitioner {partitioner!r}; this build reads "
+                f"{HashPartitioner.name!r}"
             )
         children: list[EmbeddingStore] = []
         for s in range(n_shards):

@@ -30,11 +30,7 @@ from repro.core.config import ActorConfig
 from repro.core.meta_graph import INTER_EDGE_TYPES, INTRA_EDGE_TYPES
 from repro.embedding.alias import AliasTable
 from repro.embedding.edge_sampler import NoiseSampler, TypedEdgeSampler
-from repro.embedding.parallel import (
-    HogwildPool,
-    ShardedHogwildPool,
-    fork_available,
-)
+from repro.embedding.parallel import HogwildPool, fork_available
 from repro.embedding.sgns import sgns_step, sgns_step_bow
 from repro.graphs.activity_graph import ActivityGraph
 from repro.graphs.builder import BuiltGraphs, RecordUnits
@@ -567,29 +563,14 @@ class ActorTrainer:
         total_steps = cfg.epochs * len(self.tasks) * batches
         step_counter = 0
         pool_seed = spawn_rng(rng, 1)[0]
-        if self.store.backend == "sharded":
-            # Sharded storage: per-shard worker accounting (workers keep
-            # scatter-adding into the one assembled matrix pair, and the
-            # noise samplers draw global rows — cross-shard negatives).
-            pool = ShardedHogwildPool(
-                self.tasks,
-                center,
-                context,
-                cfg.batch_size,
-                cfg.n_threads,
-                seed=pool_seed,
-                n_shards=self.store.n_shards,
-            )
-        else:
-            pool = HogwildPool(
-                self.tasks,
-                center,
-                context,
-                cfg.batch_size,
-                cfg.n_threads,
-                seed=pool_seed,
-            )
-        with pool:
+        with HogwildPool(
+            self.tasks,
+            center,
+            context,
+            cfg.batch_size,
+            cfg.n_threads,
+            seed=pool_seed,
+        ) as pool:
             for epoch in range(cfg.epochs):
                 with self.tracer.span("train.epoch", epoch=epoch) as span:
                     epoch_start = time.perf_counter()
@@ -615,13 +596,6 @@ class ActorTrainer:
                         self.metrics.gauge("train.pool.utilization").set(
                             pool.last_utilization
                         )
-                        if isinstance(pool, ShardedHogwildPool):
-                            for s, value in enumerate(
-                                pool.last_shard_utilization
-                            ):
-                                self.metrics.gauge(
-                                    f"train.pool.shard_utilization.{s}"
-                                ).set(value)
                     mean_loss = epoch_loss / len(self.tasks)
                     span.set(loss=mean_loss)
                 self.loss_history.append(mean_loss)

@@ -35,7 +35,6 @@ from repro.utils.rng import ensure_rng, spawn_rng
 __all__ = [
     "hogwild_run",
     "HogwildPool",
-    "ShardedHogwildPool",
     "fork_available",
 ]
 
@@ -116,16 +115,13 @@ def fork_available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def _worker_loop(
-    worker_id, tasks, center, context, batch_size, cmd_queue, done_queue, seed
-):
+def _worker_loop(tasks, center, context, batch_size, cmd_queue, done_queue, seed):
     """Worker process body: execute (task_idx, steps, lr) commands.
 
     ``center`` / ``context`` are shared-memory-backed views, so the
     scatter-add updates performed here are visible to every process.
-    Replies are ``(worker_id, loss_sum, busy_seconds)`` so the parent
-    can derive pool utilization (busy time / wall time) and, for the
-    sharded pool, attribute busy time to each worker's home shard.
+    Replies are ``(loss_sum, busy_seconds)`` so the parent can derive
+    pool utilization (busy time / wall time).
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -139,7 +135,7 @@ def _worker_loop(
         try:
             for _ in range(steps):
                 acc += tasks[task_idx].step(center, context, batch_size, lr, rng)
-            done_queue.put((worker_id, acc, time.perf_counter() - start))
+            done_queue.put((acc, time.perf_counter() - start))
         except Exception as exc:  # surface worker errors to the parent
             done_queue.put(exc)
 
@@ -193,7 +189,6 @@ class HogwildPool:
             ctx.Process(
                 target=_worker_loop,
                 args=(
-                    i,
                     tasks,
                     center,
                     context,
@@ -223,8 +218,6 @@ class HogwildPool:
         self._closed = False
         self.last_busy_seconds = 0.0
         self.last_wall_seconds = 0.0
-        # Per-worker busy seconds of the most recent run_task dispatch.
-        self.last_worker_busy = [0.0] * n_workers
 
     @property
     def last_utilization(self) -> float:
@@ -263,22 +256,19 @@ class HogwildPool:
                 active += 1
         total = 0.0
         busy = 0.0
-        worker_busy = [0.0] * self.n_workers
         error: BaseException | None = None
         for _ in range(active):
             result = self._done_queue.get()
             if isinstance(result, BaseException):
                 error = result
             else:
-                worker_id, loss_sum, seconds = result
+                loss_sum, seconds = result
                 total += loss_sum
                 busy += seconds
-                worker_busy[worker_id] = seconds
         if error is not None:
             raise error
         self.last_busy_seconds = busy
         self.last_wall_seconds = time.perf_counter() - wall_start
-        self.last_worker_busy = worker_busy
         return total / n_steps
 
     def close(self) -> None:
@@ -298,68 +288,3 @@ class HogwildPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class ShardedHogwildPool(HogwildPool):
-    """Hogwild pool with per-shard worker accounting for sharded stores.
-
-    Workers are assigned home shards round-robin (worker ``i`` → shard
-    ``i % n_shards``) purely for *attribution*: the SGD tasks keep
-    scatter-adding into the one assembled global matrix pair, and every
-    negative sampler draws from the full global row space — which is
-    exactly the cross-shard negative-sampling contract (a shard's
-    vertices must repel vertices living on *other* shards, or the
-    sharded embedding spaces drift apart).  Per-shard busy time from the
-    worker replies rolls up into :attr:`last_shard_busy_seconds` /
-    :attr:`last_shard_utilization` so the trainer can spot a hot shard
-    (skewed hash or skewed degree mass) from the metrics alone.
-
-    Parameters are those of :class:`HogwildPool` plus ``n_shards``.
-    """
-
-    def __init__(
-        self,
-        tasks: Sequence,
-        center: np.ndarray,
-        context: np.ndarray,
-        batch_size: int,
-        n_workers: int,
-        seed: int | np.random.Generator | None = 0,
-        *,
-        n_shards: int = 1,
-    ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        super().__init__(
-            tasks, center, context, batch_size, n_workers, seed
-        )
-        self.n_shards = int(n_shards)
-        self.shard_of_worker = [i % self.n_shards for i in range(n_workers)]
-
-    @property
-    def last_shard_busy_seconds(self) -> list[float]:
-        """Busy seconds per home shard for the most recent dispatch."""
-        busy = [0.0] * self.n_shards
-        for worker_id, seconds in enumerate(self.last_worker_busy):
-            busy[self.shard_of_worker[worker_id]] += seconds
-        return busy
-
-    @property
-    def last_shard_utilization(self) -> list[float]:
-        """Per-shard utilization of the most recent dispatch.
-
-        Each shard's busy time divided by its wall-time budget (wall
-        seconds times the number of workers homed on it); shards with no
-        workers report 0.0.
-        """
-        if self.last_wall_seconds <= 0:
-            return [0.0] * self.n_shards
-        workers_per_shard = [0] * self.n_shards
-        for shard in self.shard_of_worker:
-            workers_per_shard[shard] += 1
-        return [
-            busy / (self.last_wall_seconds * count) if count else 0.0
-            for busy, count in zip(
-                self.last_shard_busy_seconds, workers_per_shard
-            )
-        ]

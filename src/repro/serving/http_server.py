@@ -274,15 +274,6 @@ class QueryServer:
     ann_nlist / ann_nprobe:
         IVF shape: inverted lists per modality and cells probed per
         query (see ``docs/operations.md`` for the tuning runbook).
-    shards:
-        Scatter-gather fan-out width for ``/v1/neighbors``.  ``0``
-        (default) auto-detects: models backed by a
-        :class:`~repro.sharding.ShardedStore` (format-v3 bundles) fan
-        out over their store's shard count, everything else serves the
-        single-replica path.  Any value ``> 1`` forces a
-        :class:`~repro.sharding.ShardedQueryEngine` (or its indexed
-        variant with ``ann``) of that width even over an unsharded
-        store; merged results stay bit-exact either way.
     metrics / logger / stale_after:
         Shared registry, structured logger, and ``/healthz`` staleness
         threshold (see :class:`~repro.utils.telemetry_server
@@ -324,7 +315,6 @@ class QueryServer:
         ann: bool = False,
         ann_nlist: int = 256,
         ann_nprobe: int = 8,
-        shards: int = 0,
         metrics: MetricsRegistry | None = None,
         logger=None,
         stale_after: float | None = None,
@@ -341,9 +331,6 @@ class QueryServer:
         self.ann = bool(ann)
         self.ann_nlist = int(ann_nlist)
         self.ann_nprobe = int(ann_nprobe)
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
-        self.shards = int(shards)
         self.model = model
         engine = self.build_engine(model)
         if self.ann:
@@ -503,20 +490,15 @@ class QueryServer:
     # ------------------------------------------------------------ generations
 
     def shards_for(self, model) -> int:
-        """The fan-out width serving ``model`` would use.
+        """The shard count of the store behind ``model`` (1 if unsharded).
 
-        An explicit ``shards`` setting wins; otherwise a model backed by
-        a :class:`~repro.sharding.ShardedStore` inherits its store's
-        shard count and anything else serves unsharded.
+        Serving never depends on it — a sharded store's ``center`` is
+        the assembled global-order matrix, so the standard engines rank
+        exactly as over an unsharded export — but re-publishing a served
+        model keeps its bundle layout with it.
         """
-        if self.shards:
-            return self.shards
-        from repro.sharding import ShardedStore
-
-        store = getattr(model, "_store", None) or getattr(
-            model, "store", None
-        )
-        return store.n_shards if isinstance(store, ShardedStore) else 1
+        store = _sharded_store(model)
+        return store.n_shards if store is not None else 1
 
     def build_engine(self, model):
         """A query engine over ``model`` matching this server's config.
@@ -524,31 +506,10 @@ class QueryServer:
         ANN servers get an :class:`~repro.ann.engine.IndexedQueryEngine`
         with the same ``(nlist, nprobe)`` shape; the lifecycle layer uses
         this to open green candidate bundles identically to the blue one.
-        When sharding is active (:meth:`shards_for`), the sharded
-        scatter-gather variants take over with the same shapes.
+        Sharded (format-v3) models get the same engines as unsharded
+        ones, over the store's assembled matrix — with ``ann``, one IVF
+        index per modality whatever the shard count.
         """
-        n_shards = self.shards_for(model)
-        if n_shards > 1:
-            from repro.sharding import (
-                ShardedIndexedQueryEngine,
-                ShardedQueryEngine,
-            )
-
-            if self.ann:
-                return ShardedIndexedQueryEngine(
-                    model,
-                    nlist=self.ann_nlist,
-                    nprobe=self.ann_nprobe,
-                    n_shards=n_shards,
-                    metrics=self.metrics,
-                    logger=self.logger,
-                )
-            return ShardedQueryEngine(
-                model,
-                n_shards=n_shards,
-                metrics=self.metrics,
-                logger=self.logger,
-            )
         if self.ann:
             from repro.ann import IndexedQueryEngine
 
@@ -574,10 +535,7 @@ class QueryServer:
             return
         for modality in engine.ann_modalities:
             if engine.model.modality_cache(modality).keys:
-                if hasattr(engine, "indexes_for"):
-                    engine.indexes_for(modality)  # one index per shard
-                else:
-                    engine.index_for(modality)
+                engine.index_for(modality)
 
     def swap_model(self, model, engine, service) -> None:
         """Atomically retarget serving onto a new model generation.
@@ -776,7 +734,18 @@ class QueryServer:
         }
         if self.ann:
             status["ann"] = self.engine.ann_status()
-        shard_status = getattr(self.engine, "shard_status", None)
-        if shard_status is not None:
-            status["sharding"] = shard_status()
+        store = _sharded_store(self.model)
+        if store is not None:
+            status["sharding"] = {
+                "n_shards": store.n_shards,
+                "partitioner": store.partitioner.name,
+            }
         return status
+
+
+def _sharded_store(model):
+    """The :class:`~repro.sharding.ShardedStore` behind ``model``, if any."""
+    from repro.sharding import ShardedStore
+
+    store = getattr(model, "_store", None) or getattr(model, "store", None)
+    return store if isinstance(store, ShardedStore) else None

@@ -14,10 +14,8 @@ into one process: each *request entry* links to exactly one *batch
 entry* (the coalesced dispatch it rode) via ``batch.id``, and each
 batch entry lists the request ids it served in ``links``.  Batch
 entries carry the engine's per-stage timings (snap / gather / score /
-ANN probe; sharded engines add ``scatter`` / ``merge`` for the
-per-shard fan-out and the top-k merge, plus a ``shards.fanout`` value)
-measured once per dispatch — shared by every linked request, which is
-exactly how coalescing spends the time.
+ANN probe) measured once per dispatch — shared by every linked
+request, which is exactly how coalescing spends the time.
 
 Stage accounting invariant: for any request entry, the sum of
 ``stages_ms`` values is <= ``duration_ms`` (wall time).  ``queue_wait``

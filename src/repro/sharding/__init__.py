@@ -1,8 +1,6 @@
-"""``repro.sharding`` — hash-partitioned embedding state, end to end.
+"""``repro.sharding`` — hash-partitioned embedding storage and bundle layout.
 
-The package takes the reproduction from "one shared-memory machine" to
-"as many shards as the hardware allows" without changing a single
-caller-visible contract:
+Sharding is a storage and bundle layout, not a serving tier:
 
 * :class:`~repro.sharding.partitioner.HashPartitioner` — deterministic
   splitmix64 vertex-hash assignment of global row ids onto ``K`` shards,
@@ -10,31 +8,29 @@ caller-visible contract:
 * :class:`~repro.sharding.store.ShardedStore` — an
   :class:`~repro.storage.base.EmbeddingStore` whose rows live on ``K``
   child backends (dense / shared / mmap per shard) behind an assembled
-  staging view and one composite version counter;
-* :class:`~repro.sharding.engine.ShardedQueryEngine` /
-  :class:`~repro.sharding.engine.ShardedIndexedQueryEngine` —
-  scatter-gather retrieval over per-shard replicas (exact, bit-equal to
-  the unsharded engine) and per-shard IVF indexes.
+  global-order view and one composite version counter.
 
 Construction goes through the usual seams: ``make_store(...,
 n_shards=K)``, bundle format v3 (``shards/NN`` sidecars), and the
-``--shards`` flag on ``repro train/stream/serve/export``.
+``--shards`` flag on ``repro train/stream/export/promote``.  Serving a
+sharded model needs nothing of its own: ``ShardedStore.center`` is the
+assembled matrix, so the standard :class:`~repro.core.query_engine
+.QueryEngine` and :class:`~repro.ann.engine.IndexedQueryEngine` rank
+exactly as over an unsharded export.
+
+:mod:`repro.sharding.engine` holds the in-process scatter-gather engines
+(``ShardedQueryEngine`` / ``ShardedIndexedQueryEngine``).  No serving
+path uses them any more — one engine over the assembled matrix is
+faster — and they remain only until the benchmark's traced runs stop
+wrapping their methods.
 """
 
-from repro.sharding.engine import (
-    ShardedIndexedQueryEngine,
-    ShardedQueryEngine,
-    merge_topk,
-)
 from repro.sharding.partitioner import HashPartitioner, splitmix64
 from repro.sharding.store import ShardedStore, shard_subdir
 
 __all__ = [
     "HashPartitioner",
-    "ShardedIndexedQueryEngine",
-    "ShardedQueryEngine",
     "ShardedStore",
-    "merge_topk",
     "shard_subdir",
     "splitmix64",
 ]

@@ -68,6 +68,9 @@ class HashPartitioner:
         same code path so K=1 is not a special case anywhere upstream.
     """
 
+    #: The hash's name in a format-v3 manifest's ``sharding`` block.
+    name = "splitmix64"
+
     def __init__(self, n_shards: int) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")

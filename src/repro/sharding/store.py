@@ -174,7 +174,10 @@ class ShardedStore(EmbeddingStore):
         one stamp invalidates every downstream cache exactly as for a
         single-shard store.
         """
-        return self._version + sum(c.version for c in self.children)
+        version = self._version
+        for child in self.children:  # a plain loop: read on every query
+            version += child.version
+        return version
 
     def bump(self) -> int:
         """Flush staged in-place writes to the children; advance version.
@@ -232,10 +235,14 @@ class ShardedStore(EmbeddingStore):
 
     def _get(self, name: str) -> np.ndarray | None:
         """Assemble (or return the staged) global matrix for ``name``."""
-        child_arrays = [c._get(name) for c in self.children]
-        if any(arr is None for arr in child_arrays):
-            return None
-        n_rows = sum(arr.shape[0] for arr in child_arrays)
+        child_arrays = []
+        n_rows = 0
+        for child in self.children:  # a plain loop: read on every query
+            arr = child._get(name)
+            if arr is None:
+                return None
+            child_arrays.append(arr)
+            n_rows += arr.shape[0]
         buf = self._assembled.get(name)
         if buf is not None and buf.shape[0] == n_rows:
             return buf
@@ -368,10 +375,9 @@ class ShardedStore(EmbeddingStore):
 
         Row L2-normalization is strictly per-row, so scattering each
         child's cached :meth:`normalized` into global positions is
-        bit-identical to normalizing the assembled matrix — and the
-        per-shard normalized views are shared with the scatter-gather
-        engine's replicas, so the work is done once per shard.  Cached
-        against the composite :attr:`version`.
+        bit-identical to normalizing the assembled matrix: the standard
+        query engines serve a sharded store exactly as an unsharded one.
+        Cached against the composite :attr:`version`.
         """
         name = self._check_name(name)
         version = self.version
@@ -385,10 +391,6 @@ class ShardedStore(EmbeddingStore):
             out[rows] = child.normalized(name)
         self._normalized[name] = (version, out)
         return out
-
-    def shard_normalized(self, shard: int, name: str = "center") -> np.ndarray:
-        """One child's cached normalized matrix (local row order)."""
-        return self.children[shard].normalized(name)
 
     # ------------------------------------------------------------- durability
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.ann import IndexedQueryEngine
 from repro.core import QueryEngine, load_bundle, save_bundle
 from repro.core.serialize import (
     BundleFormatError,
@@ -14,7 +16,46 @@ from repro.core.serialize import (
     check_shard_plan,
 )
 from repro.lifecycle import BundlePublisher
+from repro.serving import QueryServer
 from repro.sharding import ShardedStore, shard_subdir
+
+# A fixed request set covering every neighbor modality, a word bag with an
+# unknown word, and both predict targets.
+REQUESTS = [
+    ("/v1/neighbors", {"modality": "word", "time": 21.0, "k": 7}),
+    ("/v1/neighbors", {"modality": "word", "location": [2.0, 3.0], "k": 10}),
+    ("/v1/neighbors", {"modality": "time", "words": ["common_000"], "k": 3}),
+    ("/v1/neighbors", {"modality": "location", "time": 3.0, "k": 5}),
+    (
+        "/v1/neighbors",
+        {"modality": "word", "words": ["common_001", "no_such_word"], "k": 4},
+    ),
+    (
+        "/v1/predict",
+        {
+            "target": "time",
+            "candidates": [2.0, 9.5, 13.0, 21.5],
+            "words": ["common_000"],
+            "location": [1.0, 2.0],
+        },
+    ),
+    (
+        "/v1/predict",
+        {
+            "target": "location",
+            "candidates": [[0.5, 0.5], [10.0, 12.0], [3.3, 7.7]],
+            "time": 20.0,
+        },
+    ),
+]
+
+
+def _post_raw(url: str, body) -> tuple[int, bytes]:
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode("utf-8"), method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.status, response.read()
 
 
 @pytest.fixture()
@@ -74,6 +115,24 @@ class TestRoundTrip:
             want = flat.neighbors(query, modality, 10)
             assert eager.neighbors(query, modality, 10) == want
             assert mapped.neighbors(query, modality, 10) == want
+
+        # Served over HTTP, the v3 bundle goes through the same engine
+        # class as the v2 one and answers with the same bytes, exact and
+        # ANN (nprobe < nlist: a per-shard index would rank differently).
+        for ann, engine_cls in ((False, QueryEngine), (True, IndexedQueryEngine)):
+            bodies = {}
+            for name, root in (("v2", tmp_path / "v2"), ("v3", v3_root)):
+                model = load_bundle(root, mmap=True)
+                with QueryServer(
+                    model, port=0, ann=ann, ann_nlist=8, ann_nprobe=2
+                ) as server:
+                    assert type(server.engine) is engine_cls
+                    bodies[name] = [
+                        _post_raw(server.url + path, body)
+                        for path, body in REQUESTS
+                    ]
+            assert all(status == 200 for status, _ in bodies["v2"])
+            assert bodies["v3"] == bodies["v2"], f"ann={ann}"
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import Actor
+from repro.core import Actor, QueryEngine
 from repro.sharding import ShardedStore
 
 
@@ -122,10 +122,12 @@ class TestServe:
         model = load_bundle(out, mmap=True)
         server = QueryServer(model, port=0)
         assert server.shards_for(model) == 2
+        # A sharded bundle is served by the standard engine; /varz reports
+        # the store's layout, with no fan-out of its own to describe.
+        assert type(server.engine) is QueryEngine
         with server:
             with urllib.request.urlopen(
                 server.url + "/varz", timeout=10
             ) as resp:
                 varz = json.loads(resp.read())
-        assert varz["sharding"]["n_shards"] == 2
-        assert varz["sharding"]["partitioner"] == "splitmix64"
+        assert varz["sharding"] == {"n_shards": 2, "partitioner": "splitmix64"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import QueryEngine
-from repro.sharding import (
+from repro.sharding.engine import (
     ShardedIndexedQueryEngine,
     ShardedQueryEngine,
     merge_topk,
