@@ -353,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="how long a request lingers for co-travellers before the "
-        "batch dispatches (default: 2.0)",
+        help="how long requests that queued during a running dispatch "
+        "linger for co-travellers before their batch dispatches; a "
+        "request that finds the batcher idle dispatches at once "
+        "(default: 2.0)",
     )
     serve.add_argument(
         "--ann", action="store_true",

@@ -5,9 +5,15 @@ The query engine's vectorized paths amortize their fixed per-call cost
 batch — but serving traffic arrives as single queries on independent
 handler threads.  :class:`RequestBatcher` bridges the two shapes: callers
 block in :meth:`~RequestBatcher.submit` while a dispatcher thread collects
-everything that arrived within a few milliseconds (``max_wait_ms``) or up
-to ``max_batch`` items, hands the group to one ``dispatch_fn`` call, and
+up to ``max_batch`` items, hands the group to one ``dispatch_fn`` call, and
 fans the per-item results back out.
+
+When to cut a batch follows Nagle's rule: nothing is held back while
+nothing is in flight.  A request that finds the dispatcher idle is
+dispatched at once, with whatever queued alongside it; only requests that
+arrive while a dispatch is running linger, for up to ``max_wait_ms``, for
+co-travellers.  Sparse traffic therefore never pays the window, and busy
+traffic coalesces exactly as before.
 
 The contract that makes coalescing safe is **exact parity**: the dispatch
 function must return, for each item, the same result it would return for a
@@ -69,14 +75,18 @@ class RequestBatcher:
     max_batch:
         Upper bound on items per dispatch call.
     max_wait_ms:
-        How long the dispatcher waits for more arrivals after the first
-        item of a batch, in milliseconds.  ``0`` dispatches whatever is
+        How long the dispatcher lingers for more arrivals, in
+        milliseconds, before cutting a batch whose requests queued while
+        the previous dispatch was running.  A batch that starts on an
+        idle dispatcher never lingers.  ``0`` dispatches whatever is
         queued immediately (still coalescing items that queued while a
         previous batch was executing).
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; records
-        ``serve.batch_size`` / ``serve.batch_wait_seconds`` histograms and
-        the ``serve.batches`` / ``serve.coalesced_batches`` counters.
+        the ``serve.batch_size`` histogram, the
+        ``serve.batch_wait_seconds`` histogram (the queue wait of each
+        batch's oldest request, up to the start of its dispatch) and the
+        ``serve.batches`` / ``serve.coalesced_batches`` counters.
     name:
         Thread-name suffix for the dispatcher thread.
     """
@@ -161,17 +171,22 @@ class RequestBatcher:
     # --------------------------------------------------------- dispatcher side
 
     def _take_batch(self) -> list[tuple[object, _Slot]] | None:
-        """Wait for arrivals, linger ``max_wait``, then cut one batch.
+        """Wait for arrivals, linger ``max_wait`` if busy, cut one batch.
+
+        If the queue was empty when the dispatcher came back (it was
+        idle), the batch is cut as soon as the first request arrives.
+        Only requests that queued during the previous dispatch linger.
 
         Returns ``None`` exactly once: when the batcher closed and the
         queue is fully drained, which terminates the dispatcher thread.
         """
         with self._arrived:
+            idle = not self._queue
             while not self._queue:
                 if self._closed:
                     return None
                 self._arrived.wait()
-            if self.max_wait > 0:
+            if self.max_wait > 0 and not idle:
                 deadline = time.monotonic() + self.max_wait
                 while len(self._queue) < self.max_batch and not self._closed:
                     remaining = deadline - time.monotonic()
@@ -228,7 +243,7 @@ class RequestBatcher:
                     self.metrics.counter("serve.coalesced_batches").inc()
                 self.metrics.histogram("serve.batch_size").observe(len(batch))
                 self.metrics.histogram("serve.batch_wait_seconds").observe(
-                    time.perf_counter() - start
+                    start - batch[0][1].enqueued
                 )
                 self._dispatch_ctxs = []
             fanback_start = time.perf_counter()

@@ -28,12 +28,13 @@ rode plus the lifecycle epoch it executed against.  An
 burn rates on every health scrape.
 
 Concurrent single-query requests are coalesced: handler threads park in
-the :class:`~repro.serving.batcher.RequestBatcher` for up to
-``batch_window_ms`` and execute as one vectorized
-:class:`~repro.serving.service.QueryService` dispatch, with exact parity
-to per-request execution.  Malformed bodies are *client* errors: they
-return structured 400 payloads and count under ``serve.bad_requests``
-rather than killing the handler thread with a 500.
+the :class:`~repro.serving.batcher.RequestBatcher` and execute as one
+vectorized :class:`~repro.serving.service.QueryService` dispatch, with
+exact parity to per-request execution.  A request that finds the batcher
+idle dispatches at once; requests that arrive during a dispatch linger
+for up to ``batch_window_ms`` to share the next one.  Malformed bodies
+are *client* errors: they return structured 400 payloads and count under
+``serve.bad_requests`` rather than killing the handler thread with a 500.
 
 Shutdown drains: :meth:`QueryServer.stop` stops accepting new work (late
 requests get a 503), waits for in-flight handlers to finish, then drains
@@ -258,7 +259,9 @@ class QueryServer:
     max_batch:
         Largest coalesced batch handed to the engine at once.
     batch_window_ms:
-        How long a request lingers for co-travellers before dispatch.
+        How long requests that queued while a dispatch was running
+        linger for co-travellers before their batch dispatches.  A
+        request that finds the batcher idle dispatches at once.
     coalesce:
         ``False`` disables the batcher entirely — every request becomes
         its own engine call (the naive path the latency bench compares

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.serving.batcher import BatcherClosed, RequestBatcher
+from repro.serving.reqtrace import RequestContext
 from repro.utils.metrics import MetricsRegistry
 
 
@@ -23,35 +24,65 @@ class TestCoalescing:
         assert result == {"item": "a", "batch_size": 1}
 
     def test_concurrent_requests_share_a_batch(self):
-        """Requests parked within the window dispatch as one batch."""
+        """Requests that queue while a dispatch runs ride one batch.
+
+        The first request finds the batcher idle and dispatches alone.
+        Its dispatch is held until every other client has queued, so the
+        rest must all ride the next batch together.
+        """
+        entered = threading.Event()
         release = threading.Event()
+        sizes = []
 
         def gated_dispatch(batch):
+            sizes.append(len(batch))
+            if len(sizes) == 1:
+                entered.set()
+                release.wait(timeout=5.0)
             return echo_dispatch(batch)
 
+        n_waiting = 7
         results = {}
         with RequestBatcher(
             gated_dispatch, max_batch=64, max_wait_ms=100.0
         ) as batcher:
 
             def client(name):
-                release.wait()
                 results[name] = batcher.submit(name)
 
+            first = threading.Thread(target=client, args=("first",))
+            first.start()
+            assert entered.wait(timeout=5.0)
             threads = [
                 threading.Thread(target=client, args=(f"q{i}",))
-                for i in range(8)
+                for i in range(n_waiting)
             ]
             for t in threads:
                 t.start()
+            deadline = time.monotonic() + 5.0
+            while batcher.depth < n_waiting and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.depth == n_waiting
             release.set()
-            for t in threads:
-                t.join()
-        assert set(results) == {f"q{i}" for i in range(8)}
-        for name, result in results.items():
-            assert result["item"] == name
-        # With an ample window at least one dispatch must have coalesced.
-        assert max(r["batch_size"] for r in results.values()) > 1
+            for t in [first, *threads]:
+                t.join(timeout=5.0)
+        assert sizes == [1, n_waiting]
+        assert results["first"] == {"item": "first", "batch_size": 1}
+        for i in range(n_waiting):
+            assert results[f"q{i}"] == {
+                "item": f"q{i}", "batch_size": n_waiting
+            }
+
+    def test_idle_batcher_dispatches_a_lone_request_at_once(self):
+        """Nagle's rule: nothing is held back while nothing is in flight."""
+        ctx = RequestContext("lone", "/v1/neighbors")
+        with RequestBatcher(echo_dispatch, max_wait_ms=500.0) as batcher:
+            started = time.perf_counter()
+            result = batcher.submit("a", ctx=ctx)
+            elapsed = time.perf_counter() - started
+        assert result == {"item": "a", "batch_size": 1}
+        assert elapsed < 0.100
+        assert ctx.queue_wait_seconds < 0.100
 
     def test_max_batch_cuts_dispatches(self):
         """No dispatch ever exceeds max_batch even under a pile-up."""
@@ -101,6 +132,20 @@ class TestCoalescing:
         with RequestBatcher(echo_dispatch, metrics=registry) as batcher:
             batcher.submit("a")
         assert registry.counter("serve.batches").value >= 1
+
+    def test_batch_wait_metric_excludes_dispatch(self):
+        """``serve.batch_wait_seconds`` is queue wait, not dispatch time."""
+        registry = MetricsRegistry()
+
+        def slow_dispatch(batch):
+            time.sleep(0.05)
+            return echo_dispatch(batch)
+
+        with RequestBatcher(slow_dispatch, metrics=registry) as batcher:
+            batcher.submit("a")
+        histogram = registry.histogram("serve.batch_wait_seconds")
+        assert histogram.count == 1
+        assert histogram.max < 0.010
 
 
 class TestErrors:

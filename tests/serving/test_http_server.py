@@ -8,7 +8,9 @@ surface on the same socket, and drain-on-shutdown.
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
 import urllib.error
 import urllib.request
@@ -130,7 +132,7 @@ class TestServingParity:
             assert payload == direct.dispatch([request])[0]
 
     def test_concurrent_clients_all_get_their_own_answer(
-        self, server, tiny_actor
+        self, server, tiny_actor, hold_first_dispatch
     ):
         """A coalesced burst returns per-client results with exact parity."""
         direct = QueryService(tiny_actor, metrics=MetricsRegistry())
@@ -147,6 +149,7 @@ class TestServingParity:
         ]
         results: list = [None] * len(bodies)
         barrier = threading.Barrier(len(bodies))
+        hold_first_dispatch(server, len(bodies))
 
         def client(i):
             barrier.wait()
@@ -169,6 +172,49 @@ class TestServingParity:
         histogram = server.metrics.histogram("serve.batch_size")
         assert histogram.count > 0
         assert histogram.max > 1
+
+
+class TestIdleDispatch:
+    def test_sequential_keepalive_requests_skip_the_window(self, tiny_actor):
+        """A request that finds the batcher idle never pays the window.
+
+        With a 200 ms window, a batcher that lingered on every batch
+        would stamp each queue wait at >= 200 ms.  The assertion reads
+        the server's ``X-Queue-Wait-Ms`` header, not wall time, which
+        still carries the client's keep-alive delayed-ACK stall.
+        """
+        direct = QueryService(tiny_actor, metrics=MetricsRegistry())
+        bodies = (PREDICT_BODIES + NEIGHBOR_BODIES) * 3
+        waits = []
+        with QueryServer(
+            tiny_actor, port=0, batch_window_ms=200.0
+        ) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=30
+            )
+            try:
+                for body in bodies:
+                    if "target" in body:
+                        path = "/v1/predict"
+                        request = direct.validate_predict(body)
+                    else:
+                        path = "/v1/neighbors"
+                        request = direct.validate_neighbors(body)
+                    conn.request(
+                        "POST",
+                        path,
+                        body=json.dumps(body),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                    assert response.status == 200
+                    assert payload == direct.dispatch([request])[0]
+                    waits.append(float(response.getheader("X-Queue-Wait-Ms")))
+            finally:
+                conn.close()
+        assert len(waits) >= 20
+        assert statistics.median(waits) < 20.0
 
 
 class TestBadRequests:
@@ -253,12 +299,23 @@ class TestDrain:
         server.stop()
         assert not server.running
 
-    def test_inflight_requests_complete_during_drain(self, tiny_actor):
-        """stop() waits for parked requests instead of dropping them."""
-        server = QueryServer(
-            tiny_actor, port=0, batch_window_ms=150.0, max_batch=64
-        ).start()
+    def test_inflight_requests_complete_during_drain(
+        self, tiny_actor, monkeypatch
+    ):
+        """stop() waits for in-flight requests instead of dropping them."""
+        server = QueryServer(tiny_actor, port=0).start()
         url = server.url
+        entered = threading.Event()
+        release = threading.Event()
+        dispatch = server.service.dispatch
+
+        def held_dispatch(requests):
+            """Hold the request in flight until the test releases it."""
+            entered.set()
+            release.wait(timeout=10.0)
+            return dispatch(requests)
+
+        monkeypatch.setattr(server.service, "dispatch", held_dispatch)
         results = {}
 
         def client():
@@ -268,12 +325,21 @@ class TestDrain:
 
         t = threading.Thread(target=client)
         t.start()
-        # Give the request time to arrive and park in the batch window,
-        # then begin the drain while it is still in flight.
-        deadline = threading.Event()
-        deadline.wait(0.05)
-        server.stop()
+        assert entered.wait(timeout=10.0)
+        # Begin the drain while the request is held mid-dispatch.  One
+        # second outlasts serve_forever's 0.5 s shutdown poll, so a stop()
+        # that did not drain would have returned by then.
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        stopper.join(timeout=1.0)
+        assert stopper.is_alive(), "stop() returned before the drain"
+        assert not server.accepting
+        release.set()
+        stopper.join(timeout=10.0)
         t.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert not t.is_alive()
+        assert not server.running
         status, payload = results["response"]
         assert status == 200
         assert len(payload["neighbors"]) == 10

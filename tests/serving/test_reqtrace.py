@@ -206,11 +206,14 @@ class TestTailAttribution:
 class TestTracePropagation:
     """Tentpole contracts, exercised against a live coalescing server."""
 
-    def test_concurrent_clients_get_their_own_ids_back(self, tiny_actor):
+    def test_concurrent_clients_get_their_own_ids_back(
+        self, tiny_actor, hold_first_dispatch
+    ):
         n_clients = 16
         with QueryServer(
             tiny_actor, port=0, max_batch=8, batch_window_ms=20.0
         ) as server:
+            hold_first_dispatch(server, n_clients)
             barrier = threading.Barrier(n_clients)
             results: dict[int, tuple] = {}
 
@@ -261,8 +264,8 @@ class TestTracePropagation:
             assert "queue_wait" in entry["stages_ms"]
             assert entry["lifecycle"]["epoch"] == 0
             assert entry["lifecycle"]["swap_in_progress"] is False
-        # With a 20ms window and a barrier start, at least one batch
-        # must have coalesced multiple clients.
+        # The clients that queued behind the held first dispatch
+        # coalesced: at least one batch carried several of them.
         assert coalesced
 
     def test_batch_entries_carry_engine_stages(self, tiny_actor):

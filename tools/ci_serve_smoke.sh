@@ -2,7 +2,9 @@
 # CI smoke for the query-serving daemon: export a tiny format-v2 bundle,
 # launch `repro serve --mmap` against it, fire a `repro loadgen` burst of
 # mixed predict/neighbor traffic, and assert zero 5xx responses plus a
-# well-formed /healthz.  Then run the serve latency bench at smoke scale
+# well-formed /healthz.  Sequential requests to the then idle server must
+# skip the batch window (X-Queue-Wait-Ms under the 2 ms default).  Then
+# run the serve latency bench at smoke scale
 # (tiny model, permissive speed gates — the acceptance thresholds apply
 # at the default benchmark scale on quiet hardware) and upload its
 # BENCH_serve_latency.json from the workflow.
@@ -51,6 +53,16 @@ python -m repro loadgen --url "$BASE" --preset utgeo2011 \
   --n-queries 150 --duration 2 --concurrency 8 \
   --fail-on-server-error --json >"$WORK/loadgen.json"
 
+# Sequential requests to the now idle server find the batcher idle, so
+# each dispatches at once instead of lingering for the 2 ms default
+# --batch-window-ms: their server-measured queue waits (checked below)
+# must sit under the window.
+for i in 1 2 3 4 5; do
+  curl -sf -o /dev/null -D "$WORK/idle_headers_$i.txt" \
+    -X POST "$BASE/v1/neighbors" -H 'Content-Type: application/json' \
+    -d '{"modality": "word", "time": 21.0, "k": 5}'
+done
+
 # A malformed body must come back as a structured 400, never a 500 —
 # and it must echo the request id we sent, in the header and the body.
 BAD_STATUS=$(curl -s -o "$WORK/bad.json" -D "$WORK/bad_headers.txt" \
@@ -82,6 +94,7 @@ grep -q 'stages by tail contribution' "$WORK/tail_live.txt"
 
 python - "$WORK" <<'EOF'
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -99,6 +112,15 @@ assert health["serving"]["coalesce"] is True, health
 assert health["serving"]["trace_requests"] is True, health
 assert "availability" in health["slo"], health
 assert "latency" in health["slo"], health
+idle_waits = []
+for i in range(1, 6):
+    headers = (work / f"idle_headers_{i}.txt").read_text().splitlines()
+    for line in headers:
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "x-queue-wait-ms":
+            idle_waits.append(float(value))
+assert len(idle_waits) == 5, idle_waits
+assert statistics.median(idle_waits) < 2.0, idle_waits
 bad = json.loads((work / "bad.json").read_text())
 assert bad["field"] == "target", bad
 assert bad["request_id"] == "smoke-bad-1", bad
@@ -128,6 +150,7 @@ print("loadgen:", json.dumps({k: report[k] for k in
     ("n_requests", "qps", "p50_ms", "p99_ms", "statuses")}, indent=2))
 print("trace ring:", debug["recorded"], "requests,",
       debug["recorded_batches"], "batches")
+print("idle queue waits (ms):", idle_waits)
 EOF
 
 # Graceful shutdown: SIGTERM must drain and exit 0 before the deadline.
