@@ -53,6 +53,7 @@ from repro.serving import LoadGenerator, QueryServer, http_transport
 from repro.serving.batcher import RequestBatcher
 from repro.serving.service import QueryService
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.tracing import stage
 
 # The documented full-scale coalescing gate (docs/operations.md); smoke
 # runs may enforce a relaxed --min-speedup but the JSON always records
@@ -285,19 +286,18 @@ def main(argv: list[str] | None = None) -> int:
 
     # ---- Phase 4: request-tracing overhead, saturated -------------------
     # Same saturation harness, through the server's own execute path (the
-    # context creation, batch stamping, stage collection and ring append
-    # the HTTP handler would do), traced vs untraced.  Interleaved pairs
-    # with a best-of ratio, like Phase 2: whole-machine noise cancels.
+    # context creation, request stage, batch stamping, stage collection
+    # and ring append the HTTP handler would do), traced vs untraced.
+    # Interleaved pairs with a best-of ratio, like Phase 2: whole-machine
+    # noise cancels.
     def _server_executor(server):
         """A per-request closure running the full traced request path."""
 
         def execute(request) -> None:
             ctx = server.new_request_context("/bench", None)
-            start = time.perf_counter()
-            server.execute(request, ctx)
-            server.finalize_request(
-                ctx, 200, seconds=time.perf_counter() - start
-            )
+            with stage("serve.request", metrics=server.metrics):
+                server.execute(request, ctx)
+            server.finalize_request(ctx, 200)
 
         return execute
 

@@ -17,15 +17,16 @@ bursts, eviction churn), so a stale index can never be served — the next
 :meth:`IndexedQueryEngine.index_for` call notices the moved stamp and
 rebuilds lazily, keeping write bursts cheap (no eager rebuild per batch).
 
-Telemetry: builds record ``ann.build_seconds`` (histogram) and
-``ann.index_builds`` / per-modality row gauges; every search records the
+Telemetry: builds are the ``ann.build`` stage (``ann.build_seconds``
+histogram and span) plus ``ann.index_builds`` / per-modality row gauges;
+every search is the leaf stage ``query.ann_search`` (histogram, span and
+the request trace's ``ann_search`` key) and records the
 ``ann.probed_fraction`` histogram (scored fraction of the exact
 workload) and the ``ann.searches`` counter.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Hashable
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from repro.ann.ivf import IVFIndex
 from repro.core.prediction import normalize_rows
 from repro.core.query_engine import QueryEngine
+from repro.utils.tracing import note_value
 from repro.utils.validation import check_positive
 
 __all__ = ["IndexedQueryEngine", "ANN_MODALITIES"]
@@ -121,8 +123,7 @@ class IndexedQueryEngine(QueryEngine):
         entry = self._indexes.get(modality)
         if entry is not None and entry[0] == stamp:
             return entry[1]
-        with self.tracer.span("ann.build", modality=modality):
-            start = time.perf_counter()
+        with self._stage("ann.build", modality=modality):
             index = IVFIndex(
                 cache.normalized,
                 nlist=self.nlist,
@@ -130,9 +131,6 @@ class IndexedQueryEngine(QueryEngine):
                 seed=self.index_seed,
                 train_sample=self.train_sample,
                 kmeans_iters=self.kmeans_iters,
-            )
-            self.metrics.histogram("ann.build_seconds").observe(
-                time.perf_counter() - start
             )
             self.metrics.counter("ann.index_builds").inc()
             self.metrics.gauge(f"ann.index_rows.{modality}").set(
@@ -186,16 +184,17 @@ class IndexedQueryEngine(QueryEngine):
         queries = normalize_rows(
             np.asarray(query_vectors, dtype=float).reshape(-1, index.dim)
         )
-        start = time.perf_counter()
-        with self.tracer.span(
-            "ann.search", modality=modality, n_queries=queries.shape[0]
-        ) as span:
+        with self._stage(
+            "query.ann_search",
+            key="ann_search",
+            modality=modality,
+            n_queries=queries.shape[0],
+        ) as search:
             rows_list, scores_list, stats = index.search(
                 queries, k, nprobe=nprobe
             )
-            span.set(probed_fraction=stats.probed_fraction)
-        self._observe_stage("ann_search", time.perf_counter() - start)
-        self._note_stage_value("ann.probed_fraction", stats.probed_fraction)
+            search.set(probed_fraction=stats.probed_fraction)
+        note_value("ann.probed_fraction", stats.probed_fraction)
         self.metrics.counter("ann.searches").inc(stats.n_queries)
         self.metrics.histogram("ann.probed_fraction").observe(
             stats.probed_fraction

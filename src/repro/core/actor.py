@@ -25,7 +25,6 @@ intra*.
 from __future__ import annotations
 
 import pickle
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.graphs.builder import GraphBuilder
 from repro.hotspots.detector import HotspotDetector
 from repro.storage import make_store
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.tracing import NULL_TRACER
+from repro.utils.tracing import NULL_TRACER, stage
 
 __all__ = ["Actor"]
 
@@ -89,15 +88,17 @@ class Actor(GraphEmbeddingModel):
             Optional :class:`~repro.utils.metrics.MetricsRegistry`.
             Forwarded to the trainer (per-epoch loss/time under
             ``train.*``), the hotspot detector (``hotspot.*``) and used
-            for stage timers (``fit.build_graphs`` etc.) plus graph-size
-            gauges (``graph.*``).
+            for the stage histograms ``fit.build_graphs_seconds`` /
+            ``fit.initialize_seconds`` / ``fit.train_seconds`` plus
+            graph-size gauges (``graph.*``).
         tracer:
             Optional :class:`~repro.utils.tracing.Tracer`.  Emits an
-            ``actor.fit`` span with ``actor.build_graphs`` /
-            ``actor.line_pretrain`` / ``actor.init`` / ``actor.train``
-            children (hotspot detection nests under the graph-build
-            span).  Detached again before :meth:`fit` returns so pickled
-            models never embed span forests.
+            ``actor.fit`` span with ``fit.build_graphs`` /
+            ``fit.initialize`` / ``fit.train`` children, one per stage
+            (hotspot detection nests under the graph-build span, LINE
+            pretraining under ``fit.initialize`` as
+            ``fit.line_pretrain``).  Detached again before :meth:`fit`
+            returns so pickled models never embed span forests.
         """
         cfg = self.config
         rng = ensure_rng(cfg.seed)
@@ -127,17 +128,16 @@ class Actor(GraphEmbeddingModel):
             mention_link_weight=cfg.mention_link_weight,
             include_users=True,
         )
-        with tracer.span("actor.fit", records=len(corpus)) as fit_span:
-            with tracer.span("actor.build_graphs") as build_span:
-                build_start = time.perf_counter()
+        with stage("actor.fit", tracer=tracer, records=len(corpus)) as fit:
+            with stage(
+                "fit.build_graphs", metrics=metrics, tracer=tracer
+            ) as build:
                 self.built = builder.build(corpus)
-                build_s = time.perf_counter() - build_start
-                build_span.set(
+                build.set(
                     nodes=self.built.activity.n_nodes,
                     edges=self.built.activity.n_edges,
                 )
             if metrics is not None:
-                metrics.timer("fit.build_graphs").observe(build_s)
                 metrics.gauge("graph.activity_nodes").set(
                     self.built.activity.n_nodes
                 )
@@ -156,23 +156,22 @@ class Actor(GraphEmbeddingModel):
                 and cfg.init_from_users
                 and self.built.interaction.n_edges > 0
             )
-            init_start = time.perf_counter()
-            if pretrain:
-                with tracer.span("actor.line_pretrain"):
-                    line = LineEmbedding(
-                        cfg.dim,
-                        order=2,
-                        negatives=cfg.line_negatives,
-                        lr=cfg.lr,
-                        batch_size=cfg.batch_size,
-                    ).fit(
-                        self.built.interaction.edge_set,
-                        self.built.interaction.n_users,
-                        n_samples=cfg.line_samples,
-                        seed=line_rng,
-                    )
-                    self.user_embeddings = line.embeddings
-                with tracer.span("actor.init"):
+            with stage("fit.initialize", metrics=metrics, tracer=tracer):
+                if pretrain:
+                    with stage("fit.line_pretrain", tracer=tracer):
+                        line = LineEmbedding(
+                            cfg.dim,
+                            order=2,
+                            negatives=cfg.line_negatives,
+                            lr=cfg.lr,
+                            batch_size=cfg.batch_size,
+                        ).fit(
+                            self.built.interaction.edge_set,
+                            self.built.interaction.n_users,
+                            n_samples=cfg.line_samples,
+                            seed=line_rng,
+                        )
+                        self.user_embeddings = line.embeddings
                     center, context = initialize_from_users(
                         self.built.activity,
                         self.built.interaction,
@@ -181,14 +180,10 @@ class Actor(GraphEmbeddingModel):
                         seed=init_rng,
                         noise=cfg.init_noise,
                     )
-            else:
-                with tracer.span("actor.init"):
+                else:
                     center, context = random_init(
                         self.built.activity.n_nodes, cfg.dim, init_rng
                     )
-            init_s = time.perf_counter() - init_start
-            if metrics is not None:
-                metrics.timer("fit.initialize").observe(init_s)
 
             # Install (or refresh) the embedding storage.  A refit reuses
             # the existing store so its version counter keeps moving
@@ -208,13 +203,9 @@ class Actor(GraphEmbeddingModel):
                 self.built, cfg, store=store, metrics=metrics,
                 tracer=tracer,
             )
-            with tracer.span("actor.train"):
-                train_start = time.perf_counter()
+            with stage("fit.train", metrics=metrics, tracer=tracer):
                 self.trainer.train(seed=train_rng)
-                train_s = time.perf_counter() - train_start
-            if metrics is not None:
-                metrics.timer("fit.train").observe(train_s)
-            fit_span.set(pretrained=bool(pretrain))
+            fit.set(pretrained=bool(pretrain))
         # Detach the tracer before the model can be pickled: spans hold a
         # growing forest, and save() serializes trainer + detector.
         if hasattr(detector, "tracer"):

@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.query_engine import QueryEngine
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.tracing import stage
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -303,7 +304,7 @@ class DriftWatchdog:
         post-update model.  Total cost is gated below 5% of streaming
         wall time by ``benchmarks/bench_online_streaming.py``.
         """
-        with self.metrics.time("drift.observe"):
+        with stage("drift.observe", metrics=self.metrics):
             self.n_batches += 1
             self._observe_hotspots(records)
             self._observe_norms()
@@ -445,7 +446,7 @@ class DriftWatchdog:
             # Private registry: probe scoring must not inflate the
             # serving-path query metrics.
             self._engine = QueryEngine(self.model, metrics=MetricsRegistry())
-        with self.metrics.time("drift.probe"):
+        with stage("drift.probe", metrics=self.metrics):
             mrr = self._engine.mean_reciprocal_rank(self.probe_queries)
         self.probe_mrr = mrr
         if self.probe_baseline is None:

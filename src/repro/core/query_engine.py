@@ -26,16 +26,19 @@ guaranteed rank-parity with :func:`repro.eval.mrr.query_rank` (enforced by
 property tests): exact ties — identical candidate values, zero vectors —
 resolve by original position in both paths, and non-tied scores differ by
 far more than the last-ulp noise between matrix-product shapes.
+
+Every phase is one :class:`~repro.utils.tracing.stage`: ``query.batch``
+wraps an entry point, ``query.embed`` its query and candidate embedding,
+and the leaf stages ``query.snap``, ``query.gather`` and ``query.score``
+are timed once into their ``*_seconds`` histogram, their span and — inside
+:func:`~repro.utils.tracing.collect_stages` — the request trace's ``snap``
+/ ``gather`` / ``score`` keys.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from collections.abc import Hashable, Sequence
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from repro.core.prediction import (
 )
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
-from repro.utils.tracing import NULL_TRACER
+from repro.utils.tracing import NULL_TRACER, stage
 
 __all__ = ["QueryEngine", "dedup_candidates"]
 
@@ -95,16 +98,16 @@ class QueryEngine:
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; falls back
         to the model's own registry when it has one, else a private one.
-        Timers ``query.embed``, ``query.score`` and counter
-        ``query.queries`` record the serving load; latency histograms
+        Counter ``query.queries`` records the serving load; latency
+        histograms ``query.batch_seconds`` / ``query.embed_seconds`` /
         ``query.snap_seconds`` / ``query.gather_seconds`` /
-        ``query.score_seconds`` / ``query.batch_seconds`` break each batch
-        into its hotspot-snap, word-gather and scoring phases.
+        ``query.score_seconds`` break each batch into its embedding
+        (hotspot snap, word gather) and scoring phases.
     tracer:
         Optional :class:`~repro.utils.tracing.Tracer`.  Each batch emits a
-        ``query.rank_batch`` / ``query.score_batch`` span with
-        ``query.snap`` / ``query.gather`` / ``query.score`` children.
-        Defaults to the no-op tracer.
+        ``query.batch`` span (``op`` names the entry point) with
+        ``query.embed`` (``query.snap`` / ``query.gather`` children) and
+        ``query.score`` children.  Defaults to the no-op tracer.
     slow_query_threshold:
         Batch wall-time threshold in **seconds**; batches slower than this
         are appended to :attr:`slow_queries` (and counted under
@@ -140,59 +143,16 @@ class QueryEngine:
             )
         self.slow_query_threshold = slow_query_threshold
         self.slow_queries: deque[dict] = deque(maxlen=int(slow_query_log_size))
-        self._stage_local = threading.local()
-
-    def __getstate__(self) -> dict:
-        """Pickle support: the thread-local stage sink is dropped (models
-        cache their engine, so ``Actor.save`` pickles it along)."""
-        state = self.__dict__.copy()
-        del state["_stage_local"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Pickle support: a fresh thread-local sink is created on load."""
-        self.__dict__.update(state)
-        self._stage_local = threading.local()
 
     @property
     def dim(self) -> int:
         """Embedding dimension of the underlying model."""
         return self.model.dim
 
-    # -------------------------------------------------------- stage collection
-
-    @contextmanager
-    def collect_stages(self) -> Iterator[dict]:
-        """Collect this thread's per-stage timings for one dispatch.
-
-        Yields a dict that accumulates ``{"snap": seconds, "gather": ...,
-        "score": ...}`` (plus non-duration observations under a
-        ``values`` sub-dict, e.g. the ANN probed fraction) for every
-        engine call made by the *calling thread* inside the block.  The
-        sink is thread-local, so concurrent dispatches — the coalescing
-        dispatcher and a non-coalesced handler — never mix stages.
-        Nests safely: the previous sink is restored on exit.
-        """
-        sink: dict = {}
-        previous = getattr(self._stage_local, "sink", None)
-        self._stage_local.sink = sink
-        try:
-            yield sink
-        finally:
-            self._stage_local.sink = previous
-
-    def _observe_stage(self, name: str, seconds: float) -> None:
-        """Observe ``query.<name>_seconds`` + feed the active stage sink."""
-        self.metrics.histogram(f"query.{name}_seconds").observe(seconds)
-        sink = getattr(self._stage_local, "sink", None)
-        if sink is not None:
-            sink[name] = sink.get(name, 0.0) + seconds
-
-    def _note_stage_value(self, key: str, value: float) -> None:
-        """Record a non-duration observation on the active stage sink."""
-        sink = getattr(self._stage_local, "sink", None)
-        if sink is not None:
-            sink.setdefault("values", {})[key] = value
+    def _stage(self, name: str, **kwargs) -> stage:
+        """A :class:`~repro.utils.tracing.stage` feeding this engine's
+        registry and tracer."""
+        return stage(name, metrics=self.metrics, tracer=self.tracer, **kwargs)
 
     # ------------------------------------------------------------ unit level
 
@@ -205,8 +165,7 @@ class QueryEngine:
         rows where the snapped hotspot never became a graph node) and the
         boolean ``found`` mask.
         """
-        with self.tracer.span("query.snap", modality="time"):
-            start = time.perf_counter()
+        with self._stage("query.snap", key="snap", modality="time"):
             cache = self.model.modality_cache("time")
             values = np.asarray(times, dtype=float).ravel()
             idx = self.model.built.detector.assign_temporal(values)
@@ -214,15 +173,13 @@ class QueryEngine:
             found = positions >= 0
             vectors = np.zeros((values.shape[0], self.dim))
             vectors[found] = cache.matrix[positions[found]]
-            self._observe_stage("snap", time.perf_counter() - start)
         return vectors, found
 
     def embed_locations(
         self, locations: Sequence | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Embed many ``(x, y)`` pairs with one ``assign_spatial`` call."""
-        with self.tracer.span("query.snap", modality="location"):
-            start = time.perf_counter()
+        with self._stage("query.snap", key="snap", modality="location"):
             cache = self.model.modality_cache("location")
             coords = np.asarray(locations, dtype=float).reshape(-1, 2)
             idx = self.model.built.detector.assign_spatial(coords)
@@ -230,7 +187,6 @@ class QueryEngine:
             found = positions >= 0
             vectors = np.zeros((coords.shape[0], self.dim))
             vectors[found] = cache.matrix[positions[found]]
-            self._observe_stage("snap", time.perf_counter() - start)
         return vectors, found
 
     def embed_word_bags(self, bags: Sequence[Sequence[str]]) -> np.ndarray:
@@ -241,12 +197,8 @@ class QueryEngine:
         ``np.add.reduceat`` segment sum, matching
         :meth:`GraphEmbeddingModel.words_vector` bag by bag.
         """
-        with self.tracer.span("query.gather", bags=len(bags)):
-            start = time.perf_counter()
-            try:
-                return self._embed_word_bags(bags)
-            finally:
-                self._observe_stage("gather", time.perf_counter() - start)
+        with self._stage("query.gather", key="gather", bags=len(bags)):
+            return self._embed_word_bags(bags)
 
     def _embed_word_bags(self, bags: Sequence[Sequence[str]]) -> np.ndarray:
         """Uninstrumented body of :meth:`embed_word_bags`."""
@@ -372,11 +324,13 @@ class QueryEngine:
         :meth:`GraphEmbeddingModel.score_candidates` for query ``i`` up to
         last-ulp rounding (exact ties are preserved bit-for-bit).
         """
-        with self.tracer.span(
-            "query.score_batch", target=target, n_candidates=len(candidates)
-        ):
-            start = time.perf_counter()
-            with self.metrics.time("query.embed"):
+        with self._stage(
+            "query.batch",
+            op="score_candidates_batch",
+            target=target,
+            n_candidates=len(candidates),
+        ) as batch:
+            with self._stage("query.embed"):
                 queries = normalize_rows(
                     self.query_matrix(
                         times=times, locations=locations, words=words
@@ -385,31 +339,26 @@ class QueryEngine:
                 cands = normalize_rows(
                     self.candidate_matrix(target, candidates)
                 )
-            with self.metrics.time("query.score"), self.tracer.span(
-                "query.score"
-            ):
-                score_start = time.perf_counter()
+            with self._stage("query.score", key="score"):
                 block = queries @ cands.T
-                self._observe_stage("score", time.perf_counter() - score_start)
             self.metrics.counter("query.queries").inc(queries.shape[0])
-            n = int(queries.shape[0])
-            self._record_batch(
-                op="score_candidates_batch",
-                target=target,
-                n_queries=n,
-                seconds=time.perf_counter() - start,
-                modalities={
-                    "time": sum(1 for t in times if t is not None)
-                    if times is not None
-                    else 0,
-                    "location": sum(1 for l in locations if l is not None)
-                    if locations is not None
-                    else 0,
-                    "word": sum(1 for w in words if w is not None)
-                    if words is not None
-                    else 0,
-                },
-            )
+        self._record_batch(
+            op="score_candidates_batch",
+            target=target,
+            n_queries=int(queries.shape[0]),
+            seconds=batch.seconds,
+            modalities={
+                "time": sum(1 for t in times if t is not None)
+                if times is not None
+                else 0,
+                "location": sum(1 for l in locations if l is not None)
+                if locations is not None
+                else 0,
+                "word": sum(1 for w in words if w is not None)
+                if words is not None
+                else 0,
+            },
+        )
         return block
 
     def score_ragged_batch(
@@ -439,13 +388,13 @@ class QueryEngine:
         counts = np.asarray([len(c) for c in candidates], dtype=np.int64)
         if (counts == 0).any():
             raise ValueError("every query needs at least one candidate")
-        with self.tracer.span(
-            "query.score_ragged_batch",
+        with self._stage(
+            "query.batch",
+            op="score_ragged_batch",
             target=target,
             n_queries=len(candidates),
-        ):
-            start = time.perf_counter()
-            with self.metrics.time("query.embed"):
+        ) as batch:
+            with self._stage("query.embed"):
                 query_mat = normalize_rows(
                     self.query_matrix(
                         times=times,
@@ -464,34 +413,30 @@ class QueryEngine:
                 self.metrics.counter("query.candidates_deduped").inc(
                     len(flat) - len(unique)
                 )
-            with self.metrics.time("query.score"), self.tracer.span(
-                "query.score", target=target
-            ):
-                score_start = time.perf_counter()
+            with self._stage("query.score", key="score", target=target):
                 scores = np.einsum(
                     "nd,nd->n", cand_mat, np.repeat(query_mat, counts, axis=0)
                 )
-                self._observe_stage("score", time.perf_counter() - score_start)
             self.metrics.counter("query.queries").inc(len(candidates))
             splits = np.cumsum(counts[:-1])
             out = [np.asarray(block) for block in np.split(scores, splits)]
-            self._record_batch(
-                op="score_ragged_batch",
-                target=target,
-                n_queries=len(candidates),
-                seconds=time.perf_counter() - start,
-                modalities={
-                    "time": sum(1 for t in times if t is not None)
-                    if times is not None
-                    else 0,
-                    "location": sum(1 for l in locations if l is not None)
-                    if locations is not None
-                    else 0,
-                    "word": sum(1 for w in words if w is not None)
-                    if words is not None
-                    else 0,
-                },
-            )
+        self._record_batch(
+            op="score_ragged_batch",
+            target=target,
+            n_queries=len(candidates),
+            seconds=batch.seconds,
+            modalities={
+                "time": sum(1 for t in times if t is not None)
+                if times is not None
+                else 0,
+                "location": sum(1 for l in locations if l is not None)
+                if locations is not None
+                else 0,
+                "word": sum(1 for w in words if w is not None)
+                if words is not None
+                else 0,
+            },
+        )
         return out
 
     def neighbors(
@@ -519,8 +464,9 @@ class QueryEngine:
         :func:`~repro.core.prediction.rank_descending`'s stable sort
         produces.  Candidate lists may differ per query and per target.
         """
-        with self.tracer.span("query.rank_batch", n_queries=len(queries)):
-            start = time.perf_counter()
+        with self._stage(
+            "query.batch", op="rank_batch", n_queries=len(queries)
+        ) as batch:
             ranks = np.empty(len(queries), dtype=np.int64)
             by_target: dict[str, list[int]] = {}
             for i, query in enumerate(queries):
@@ -528,19 +474,19 @@ class QueryEngine:
             for target, indices in by_target.items():
                 group = [queries[i] for i in indices]
                 ranks[indices] = self._rank_group(target, group)
-            self._record_batch(
-                op="rank_batch",
-                target="+".join(sorted(by_target)),
-                n_queries=len(queries),
-                seconds=time.perf_counter() - start,
-                modalities={
-                    "time": sum(1 for q in queries if q.time is not None),
-                    "location": sum(
-                        1 for q in queries if q.location is not None
-                    ),
-                    "word": sum(1 for q in queries if q.words is not None),
-                },
-            )
+        self._record_batch(
+            op="rank_batch",
+            target="+".join(sorted(by_target)),
+            n_queries=len(queries),
+            seconds=batch.seconds,
+            modalities={
+                "time": sum(1 for q in queries if q.time is not None),
+                "location": sum(
+                    1 for q in queries if q.location is not None
+                ),
+                "word": sum(1 for q in queries if q.words is not None),
+            },
+        )
         return ranks
 
     def _record_batch(
@@ -552,8 +498,8 @@ class QueryEngine:
         seconds: float,
         modalities: dict[str, int],
     ) -> None:
-        """Record one batch's wall time; log it when slower than threshold."""
-        self.metrics.histogram("query.batch_seconds").observe(seconds)
+        """Log one batch, timed by its ``query.batch`` stage, when it ran
+        slower than the threshold."""
         threshold = self.slow_query_threshold
         if threshold is not None and seconds > threshold:
             self.metrics.counter("query.slow_batches").inc()
@@ -572,7 +518,7 @@ class QueryEngine:
 
     def _rank_group(self, target: str, queries: Sequence) -> np.ndarray:
         """Truth ranks for queries sharing one target modality."""
-        with self.metrics.time("query.embed"):
+        with self._stage("query.embed"):
             query_mat = normalize_rows(
                 self.query_matrix(
                     times=[q.time for q in queries],
@@ -587,10 +533,7 @@ class QueryEngine:
             cand_mat = normalize_rows(
                 self.candidate_matrix(target, flat_candidates)
             )
-        with self.metrics.time("query.score"), self.tracer.span(
-            "query.score", target=target
-        ):
-            score_start = time.perf_counter()
+        with self._stage("query.score", key="score", target=target):
             scores = np.einsum(
                 "nd,nd->n", cand_mat, np.repeat(query_mat, counts, axis=0)
             )
@@ -606,7 +549,6 @@ class QueryEngine:
                 & (position < np.repeat(truth_pos, counts))
             )
             ranks = 1 + np.add.reduceat(beats.astype(np.int64), starts)
-            self._observe_stage("score", time.perf_counter() - score_start)
         self.metrics.counter("query.queries").inc(len(queries))
         return ranks
 

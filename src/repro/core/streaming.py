@@ -37,20 +37,19 @@ The ingestion path is built for throughput:
 
 Operational state (records/sec, buffer occupancy, evictions, alias
 rebuilds, per-burst loss) is recorded in the actor's
-:class:`~repro.utils.metrics.MetricsRegistry`, including latency
-*histograms* (``stream.ingest_seconds``, ``stream.burst_seconds``,
-``buffer.rebuild_seconds``, ``buffer.evict_seconds``) whose p50/p90/p99
-feed the Prometheus export.  When a
-:class:`~repro.utils.tracing.Tracer` is attached, every
-:meth:`OnlineActor.partial_fit` call records a ``stream.partial_fit``
-span tree with ``stream.ingest`` / ``stream.train_burst`` children —
+:class:`~repro.utils.metrics.MetricsRegistry`.  Each phase of
+:meth:`OnlineActor.partial_fit` is one :class:`~repro.utils.tracing.stage`
+— ``stream.partial_fit`` with ``stream.ingest`` / ``stream.train_burst``
+children — timed once into its latency histogram
+(``stream.partial_fit_seconds`` and so on, with ``buffer.add_seconds``,
+``buffer.evict_seconds`` and ``buffer.rebuild_seconds`` from the buffer)
+and, when a :class:`~repro.utils.tracing.Tracer` is attached, its span —
 see ``docs/observability.md``.  Checkpoint/restore lives in
 :mod:`repro.core.serialize`.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Hashable, Iterable
 from pathlib import Path
 
@@ -67,7 +66,7 @@ from repro.storage import make_store
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.rng import ensure_rng
-from repro.utils.tracing import NULL_TRACER
+from repro.utils.tracing import NULL_TRACER, stage
 from repro.utils.validation import check_positive
 
 __all__ = ["RecencyBuffer", "OnlineActor"]
@@ -115,7 +114,7 @@ class RecencyBuffer:
         self._version = 0
         self._sampler_state: tuple[int, int] | None = None
         # Optional observability sink (attached by OnlineActor): when set,
-        # alias rebuilds and evicting bulk inserts record latency
+        # bulk inserts, evicting inserts and alias rebuilds record latency
         # histograms.  Plain attribute so checkpoint restore and direct
         # construction stay signature-compatible.
         self.metrics: MetricsRegistry | None = None
@@ -214,45 +213,43 @@ class RecencyBuffer:
                 bad = float(weights[weights <= 0][0])
                 raise ValueError(f"weight must be positive, got {bad}")
 
-        metrics = self.metrics
-        start = time.perf_counter() if metrics is not None else 0.0
         evictions_before = self.evictions
-        if n >= self.max_size:
-            # The batch alone fills the buffer: everything currently held
-            # plus the batch's oldest entries are evicted.
-            self.evictions += self._size + (n - self.max_size)
-            if self.capacity < self.max_size:
-                self._grow(self.max_size)
-            keep = slice(n - self.max_size, n)
-            self._src[: self.max_size] = src[keep]
-            self._dst[: self.max_size] = dst[keep]
-            self._weight[: self.max_size] = weights[keep]
-            self._born[: self.max_size] = self.clock
-            self._head = 0
-            self._size = self.max_size
-        else:
-            overflow = self._size + n - self.max_size
-            if overflow > 0:
-                self._head = (self._head + overflow) % self.capacity
-                self._size -= overflow
-                self.evictions += overflow
-            if self._size + n > self.capacity:
-                self._grow(self._size + n)
-            idx = (self._head + self._size + np.arange(n)) % self.capacity
-            self._src[idx] = src
-            self._dst[idx] = dst
-            self._weight[idx] = weights
-            self._born[idx] = self.clock
-            self._size += n
-        self._version += 1
-        if metrics is not None:
-            elapsed = time.perf_counter() - start
-            metrics.histogram("buffer.add_seconds").observe(elapsed)
-            if self.evictions > evictions_before:
-                # Latency of the evicting inserts specifically: a rising
-                # p99 here means the window is churning (see the
-                # operations runbook).
-                metrics.histogram("buffer.evict_seconds").observe(elapsed)
+        with stage("buffer.add", metrics=self.metrics) as timed:
+            if n >= self.max_size:
+                # The batch alone fills the buffer: everything currently
+                # held plus the batch's oldest entries are evicted.
+                self.evictions += self._size + (n - self.max_size)
+                if self.capacity < self.max_size:
+                    self._grow(self.max_size)
+                keep = slice(n - self.max_size, n)
+                self._src[: self.max_size] = src[keep]
+                self._dst[: self.max_size] = dst[keep]
+                self._weight[: self.max_size] = weights[keep]
+                self._born[: self.max_size] = self.clock
+                self._head = 0
+                self._size = self.max_size
+            else:
+                overflow = self._size + n - self.max_size
+                if overflow > 0:
+                    self._head = (self._head + overflow) % self.capacity
+                    self._size -= overflow
+                    self.evictions += overflow
+                if self._size + n > self.capacity:
+                    self._grow(self._size + n)
+                idx = (self._head + self._size + np.arange(n)) % self.capacity
+                self._src[idx] = src
+                self._dst[idx] = dst
+                self._weight[idx] = weights
+                self._born[idx] = self.clock
+                self._size += n
+            self._version += 1
+        if self.metrics is not None and self.evictions > evictions_before:
+            # Latency of the evicting inserts specifically: a rising p99
+            # here means the window is churning (see the operations
+            # runbook).
+            self.metrics.histogram("buffer.evict_seconds").observe(
+                timed.seconds
+            )
 
     # ---------------------------------------------------------------- decay
 
@@ -289,21 +286,19 @@ class RecencyBuffer:
         draw within the group samples each edge exactly proportionally to
         its weight at O(U) table-build cost instead of O(N).
         """
-        start = time.perf_counter() if self.metrics is not None else 0.0
-        weights = np.maximum(self.decayed_weights(), 1e-12)
-        unique, inverse, counts = np.unique(
-            weights, return_inverse=True, return_counts=True
-        )
-        self._group_table = AliasTable(unique * counts)
-        self._group_order = np.argsort(inverse, kind="stable")
-        self._group_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-        self._group_counts = counts
-        self._sampler_state = (self.clock, self._version)
-        self.rebuilds += 1
-        if self.metrics is not None:
-            self.metrics.histogram("buffer.rebuild_seconds").observe(
-                time.perf_counter() - start
+        with stage("buffer.rebuild", metrics=self.metrics):
+            weights = np.maximum(self.decayed_weights(), 1e-12)
+            unique, inverse, counts = np.unique(
+                weights, return_inverse=True, return_counts=True
             )
+            self._group_table = AliasTable(unique * counts)
+            self._group_order = np.argsort(inverse, kind="stable")
+            self._group_starts = np.concatenate(
+                ([0], np.cumsum(counts[:-1]))
+            )
+            self._group_counts = counts
+            self._sampler_state = (self.clock, self._version)
+            self.rebuilds += 1
 
     def sample(
         self, size: int, rng: np.random.Generator
@@ -543,33 +538,26 @@ class OnlineActor(GraphEmbeddingModel):
             # histograms always land in the deployment's registry.
             self.buffer.metrics = metrics
         tracer = self.tracer
-        with tracer.span("stream.partial_fit", records=len(records)) as span:
-            batch_start = time.perf_counter()
-            with tracer.span("stream.ingest"):
-                ingest_start = time.perf_counter()
+        with stage(
+            "stream.partial_fit",
+            metrics=metrics,
+            tracer=tracer,
+            records=len(records),
+        ) as batch:
+            with stage("stream.ingest", metrics=metrics, tracer=tracer):
                 n_edges = self._ingest(records)
-                ingest_s = time.perf_counter() - ingest_start
             self.n_ingested += len(records)
             self.buffer.tick()
-            with tracer.span("stream.train_burst"):
-                burst_start = time.perf_counter()
+            with stage("stream.train_burst", metrics=metrics, tracer=tracer):
                 self._train_burst()
-                burst_s = time.perf_counter() - burst_start
-            batch_s = time.perf_counter() - batch_start
-            span.set(edges=n_edges, buffer=len(self.buffer))
-        metrics.timer("stream.ingest").observe(ingest_s)
-        metrics.timer("stream.train_burst").observe(burst_s)
-        metrics.timer("stream.partial_fit").observe(batch_s)
-        metrics.histogram("stream.ingest_seconds").observe(ingest_s)
-        metrics.histogram("stream.burst_seconds").observe(burst_s)
-        metrics.histogram("stream.batch_seconds").observe(batch_s)
+            batch.set(edges=n_edges, buffer=len(self.buffer))
         # The burst updates center/context in place (same array objects),
         # so the store version must be bumped explicitly; row growth
         # already invalidates the caches via store.grow.
         self.invalidate_query_cache()
         metrics.counter("stream.records").inc(len(records))
         metrics.counter("stream.edges").inc(n_edges)
-        total = metrics.timer("stream.partial_fit").total
+        total = metrics.histogram("stream.partial_fit_seconds").total
         if total > 0:
             metrics.gauge("stream.records_per_sec").set(
                 metrics.counter("stream.records").value / total
@@ -591,7 +579,7 @@ class OnlineActor(GraphEmbeddingModel):
                 evictions=self.buffer.evictions,
             )
         if self.drift is not None:
-            # Runs outside the stream.partial_fit timer on purpose: the
+            # Runs outside the stream.partial_fit stage on purpose: the
             # benchmark overhead gate compares drift.observe against
             # stream.partial_fit, so the denominators must not overlap.
             self.drift.observe_batch(records)

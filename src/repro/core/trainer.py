@@ -22,7 +22,6 @@ reuse the same machinery:
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from repro.graphs.types import EdgeType, NodeType
 from repro.storage import DenseStore, EmbeddingStore, SharedMemStore
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.rng import ensure_rng, spawn_rng
-from repro.utils.tracing import NULL_TRACER
+from repro.utils.tracing import NULL_TRACER, stage
 
 __all__ = [
     "TrainTask",
@@ -260,15 +259,17 @@ class ActorTrainer:
         (no copy-in/copy-out).
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; when given,
-        the trainer records per-epoch loss and wall-clock plus total batch
-        counts under the ``train.*`` namespace, and per-edge-type loss /
-        latency / edges-per-second under ``train.task.<name>.*``.  The
-        parallel path additionally reports Hogwild worker utilization
-        (``train.pool.utilization``).
+        the trainer records per-epoch loss and wall-clock
+        (``train.epoch_seconds``) plus total batch counts under the
+        ``train.*`` namespace, and per-edge-type latency
+        (``train.task.<name>_seconds``), loss and edges-per-second under
+        ``train.task.<name>.*``.  The parallel path additionally reports
+        Hogwild worker utilization (``train.pool.utilization``).
     tracer:
         Optional :class:`~repro.utils.tracing.Tracer`; when given, each
         epoch records a ``train.epoch`` span whose children are one
-        ``train.task`` span per edge-type objective.
+        ``train.task.<name>`` span per edge-type objective — the same
+        stages, timed once, as the histograms.
     logger:
         Optional :class:`~repro.utils.logging.StructuredLogger`; each
         epoch emits a ``train.epoch`` info record (loss, batches,
@@ -331,18 +332,15 @@ class ActorTrainer:
         self.metrics.counter("train.epochs").inc()
         self.metrics.counter("train.batches").inc(batches)
         self.metrics.gauge("train.epoch_loss").set(loss)
-        self.metrics.timer("train.epoch").observe(seconds)
-        self.metrics.histogram("train.epoch_seconds").observe(seconds)
 
     def _record_task(
         self, task: TrainTask, loss: float, batches: int, seconds: float
     ) -> None:
-        """Per-edge-type epoch stats: loss, latency, edges/sec."""
+        """Per-edge-type epoch stats: loss, edges/sec."""
         if self.metrics is None:
             return
         prefix = f"train.task.{task.name}"
         self.metrics.gauge(f"{prefix}.loss").set(loss / max(1, batches))
-        self.metrics.timer(prefix).observe(seconds)
         if seconds > 0:
             self.metrics.gauge(f"{prefix}.edges_per_sec").set(
                 batches * self.config.batch_size / seconds
@@ -502,35 +500,29 @@ class ActorTrainer:
         batches = self.batches_per_epoch()
         total_steps = cfg.epochs * len(self.tasks) * batches
         step_counter = 0
+        sinks = {"metrics": self.metrics, "tracer": self.tracer}
         for epoch in range(cfg.epochs):
-            with self.tracer.span("train.epoch", epoch=epoch) as span:
-                epoch_start = time.perf_counter()
+            with stage("train.epoch", epoch=epoch, **sinks) as timed_epoch:
                 epoch_loss = 0.0
                 for task in self.tasks:
                     lr = cfg.lr * max(
                         0.1, 1.0 - step_counter / max(1, total_steps)
                     )
-                    with self.tracer.span("train.task", task=task.name):
-                        task_start = time.perf_counter()
+                    with stage(f"train.task.{task.name}", **sinks) as timed:
                         task_loss = 0.0
                         for _ in range(batches):
                             task_loss += task.step(
                                 self.center, self.context, cfg.batch_size,
                                 lr, rng,
                             )
-                    self._record_task(
-                        task, task_loss, batches,
-                        time.perf_counter() - task_start,
-                    )
+                    self._record_task(task, task_loss, batches, timed.seconds)
                     epoch_loss += task_loss
                     step_counter += batches
                 mean_loss = epoch_loss / (len(self.tasks) * batches)
-                span.set(loss=mean_loss)
+                timed_epoch.set(loss=mean_loss)
             self.loss_history.append(mean_loss)
             self._record_epoch(
-                mean_loss,
-                len(self.tasks) * batches,
-                time.perf_counter() - epoch_start,
+                mean_loss, len(self.tasks) * batches, timed_epoch.seconds
             )
 
     def _train_parallel(self, rng: np.random.Generator) -> None:
@@ -571,24 +563,25 @@ class ActorTrainer:
             cfg.n_threads,
             seed=pool_seed,
         ) as pool:
+            sinks = {"metrics": self.metrics, "tracer": self.tracer}
             for epoch in range(cfg.epochs):
-                with self.tracer.span("train.epoch", epoch=epoch) as span:
-                    epoch_start = time.perf_counter()
+                with stage(
+                    "train.epoch", epoch=epoch, **sinks
+                ) as timed_epoch:
                     epoch_loss = 0.0
                     for task_idx, task in enumerate(self.tasks):
                         lr = cfg.lr * max(
                             0.1, 1.0 - step_counter / max(1, total_steps)
                         )
-                        with self.tracer.span(
-                            "train.task", task=task.name
-                        ):
-                            task_start = time.perf_counter()
+                        with stage(
+                            f"train.task.{task.name}", **sinks
+                        ) as timed:
                             task_loss = pool.run_task(
                                 task_idx, batches, lr
                             )
                         self._record_task(
                             task, task_loss * batches, batches,
-                            time.perf_counter() - task_start,
+                            timed.seconds,
                         )
                         epoch_loss += task_loss
                         step_counter += batches
@@ -597,10 +590,8 @@ class ActorTrainer:
                             pool.last_utilization
                         )
                     mean_loss = epoch_loss / len(self.tasks)
-                    span.set(loss=mean_loss)
+                    timed_epoch.set(loss=mean_loss)
                 self.loss_history.append(mean_loss)
                 self._record_epoch(
-                    mean_loss,
-                    len(self.tasks) * batches,
-                    time.perf_counter() - epoch_start,
+                    mean_loss, len(self.tasks) * batches, timed_epoch.seconds
                 )

@@ -16,7 +16,7 @@ from repro.core.hierarchical import random_init
 from repro.core.trainer import ActorTrainer
 from repro.graphs.builder import BuiltGraphs
 from repro.utils.rng import ensure_rng
-from repro.utils.timing import Timer
+from repro.utils.tracing import stage
 
 __all__ = [
     "ScalabilityPoint",
@@ -51,9 +51,9 @@ def time_training(
     rng = ensure_rng(cfg.seed)
     center, context = random_init(built.activity.n_nodes, cfg.dim, rng)
     trainer = ActorTrainer(built, cfg, center, context)
-    with Timer() as timer:
+    with stage("scalability.train") as timed:
         trainer.train(seed=rng)
-    return timer.elapsed
+    return timed.seconds
 
 
 def edges_scaling(

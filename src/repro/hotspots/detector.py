@@ -15,14 +15,12 @@ distance, matching the daily periodicity of urban activity (Table 1 reports
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.data.records import Corpus
 from repro.hotspots.meanshift import circular_mean_shift, mean_shift
-from repro.utils.tracing import NULL_TRACER
+from repro.utils.tracing import NULL_TRACER, stage
 from repro.utils.validation import check_positive
 
 __all__ = ["HotspotDetector"]
@@ -61,8 +59,9 @@ class HotspotDetector:
         self._temporal_hotspots: np.ndarray | None = None
         self._spatial_tree: cKDTree | None = None
         # Optional observability sinks, attached by Actor.fit (or by hand):
-        # when set, fit_arrays records mean-shift latency and hotspot
-        # counts, and emits a hotspot.detect span tree.
+        # when set, fit_arrays records the hotspot.spatial_fit /
+        # hotspot.temporal_fit stages and hotspot counts, and emits a
+        # hotspot.detect span tree.
         self.metrics = None
         self.tracer = NULL_TRACER
 
@@ -141,27 +140,29 @@ class HotspotDetector:
             )
         if locations.shape[0] != hours.shape[0]:
             raise ValueError("locations and hours must have equal length")
-        with self.tracer.span(
-            "hotspot.detect", n_records=int(locations.shape[0])
-        ) as span:
-            with self.tracer.span("hotspot.spatial"):
-                spatial_start = time.perf_counter()
+        with stage(
+            "hotspot.detect",
+            tracer=self.tracer,
+            n_records=int(locations.shape[0]),
+        ) as detect:
+            with stage(
+                "hotspot.spatial_fit", metrics=self.metrics, tracer=self.tracer
+            ):
                 spatial = mean_shift(
                     locations,
                     self.spatial_bandwidth,
                     min_support=self.min_support,
                 )
-                spatial_s = time.perf_counter() - spatial_start
-            with self.tracer.span("hotspot.temporal"):
-                temporal_start = time.perf_counter()
+            with stage(
+                "hotspot.temporal_fit", metrics=self.metrics, tracer=self.tracer
+            ):
                 temporal = circular_mean_shift(
                     hours,
                     self.temporal_bandwidth,
                     period=self.period,
                     min_support=self.min_support,
                 )
-                temporal_s = time.perf_counter() - temporal_start
-            span.set(
+            detect.set(
                 n_spatial=int(spatial.modes.shape[0]),
                 n_temporal=int(temporal.modes.shape[0]),
             )
@@ -169,8 +170,6 @@ class HotspotDetector:
         self._temporal_hotspots = temporal.modes.ravel()
         self._spatial_tree = cKDTree(self._spatial_hotspots)
         if self.metrics is not None:
-            self.metrics.timer("hotspot.spatial_fit").observe(spatial_s)
-            self.metrics.timer("hotspot.temporal_fit").observe(temporal_s)
             self.metrics.gauge("hotspot.n_spatial").set(self.n_spatial)
             self.metrics.gauge("hotspot.n_temporal").set(self.n_temporal)
         return self

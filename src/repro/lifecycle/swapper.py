@@ -28,6 +28,7 @@ from pathlib import Path
 
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.tracing import stage
 
 __all__ = ["ModelSwapper", "Generation"]
 
@@ -114,7 +115,7 @@ class ModelSwapper:
         from repro.core.serialize import load_bundle
         from repro.serving.service import QueryService
 
-        with self.metrics.time("lifecycle.open_candidate"):
+        with stage("lifecycle.open_candidate", metrics=self.metrics):
             model = load_bundle(path, mmap=True)
             engine = self.server.build_engine(model)
             self.server.warm_engine(engine)

@@ -15,7 +15,8 @@ for its observability surface):
 * ``GET /metrics`` / ``/healthz`` / ``/varz`` / ``/debug/requests`` —
   the live telemetry endpoints, rendered by the embedded
   :class:`~repro.utils.telemetry_server.TelemetryServer` on *this*
-  socket (no second port).
+  socket (no second port): the request handler is the telemetry
+  server's GET handler plus ``do_POST``.
 
 Every request is traced (``trace_requests=True``): an id from the
 inbound ``X-Request-Id`` header (or freshly generated) is echoed back in
@@ -47,7 +48,7 @@ import itertools
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 from repro.core.query_engine import QueryEngine
 from repro.serving.batcher import BatcherClosed, RequestBatcher
@@ -67,7 +68,12 @@ from repro.utils.slo import (
     availability_source,
     latency_source,
 )
-from repro.utils.telemetry_server import TelemetryServer
+from repro.utils.telemetry_server import (
+    SHUTDOWN_POLL_SECONDS,
+    TelemetryHandler,
+    TelemetryServer,
+)
+from repro.utils.tracing import collect_stages, stage
 
 __all__ = ["QueryServer"]
 
@@ -86,22 +92,13 @@ class _QueryHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`QueryServer`."""
+class _ServeHandler(TelemetryHandler):
+    """The observability GET handler plus the query endpoints."""
 
-    # Built once per QueryServer via type(); the server injects itself.
+    # Built once per QueryServer via type(); the server injects itself
+    # and its embedded telemetry renderer.
     server_ref: "QueryServer"
     protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Serve the observability endpoints from the embedded renderer."""
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        rendered = self.server_ref.telemetry.respond_get(path)
-        if rendered is None:
-            self._respond_json(404, {"error": f"no such endpoint: {path}"})
-            return
-        status, body, content_type = rendered
-        self._respond(status, body, content_type)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         """Route ``/v1/predict`` and ``/v1/neighbors``.
@@ -112,7 +109,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
         payloads additionally name the id so clients can quote it, and
         the finished context lands in the server's trace ring *before*
         the response bytes go out (a client can always find its own
-        request at ``/debug/requests`` afterwards).
+        request at ``/debug/requests`` afterwards).  Each admitted
+        request is the ``serve.request`` stage (the
+        ``serve.request_seconds`` histogram the latency SLO reads).
         """
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         server = self.server_ref
@@ -125,12 +124,12 @@ class _ServeHandler(BaseHTTPRequestHandler):
         ctx = server.new_request_context(
             path, self.headers.get(REQUEST_ID_HEADER)
         )
-        started = time.perf_counter()
-        server._enter_request()
-        try:
-            status, payload = self._handle_query(path, ctx)
-        finally:
-            server._exit_request()
+        with stage("serve.request", metrics=server.metrics):
+            server._enter_request()
+            try:
+                status, payload = self._handle_query(path, ctx)
+            finally:
+                server._exit_request()
         headers = None
         if ctx is not None:
             if status != 200:
@@ -145,7 +144,6 @@ class _ServeHandler(BaseHTTPRequestHandler):
         server.finalize_request(
             ctx,
             status,
-            seconds=time.perf_counter() - started,
             error=payload.get("error") if status != 200 else None,
         )
         self._respond_json(status, payload, headers=headers)
@@ -156,38 +154,36 @@ class _ServeHandler(BaseHTTPRequestHandler):
         """Validate, dispatch and shape one query request."""
         server = self.server_ref
         metrics = server.metrics
-        with metrics.time("serve.request"):
-            validate_start = time.perf_counter()
-            try:
+        validate = stage("serve.validate")
+        try:
+            with validate:
                 body = self._read_json_body()
                 if path == "/v1/predict":
                     request = server.service.validate_predict(body)
                 else:
                     request = server.service.validate_neighbors(body)
-            except BadRequest as exc:
-                metrics.counter("serve.bad_requests").inc()
-                server.logger.warning(
-                    "serve.bad_request", path=path, error=str(exc)
-                )
-                return 400, exc.to_payload()
-            finally:
-                if ctx is not None:
-                    ctx.stage(
-                        "validate", time.perf_counter() - validate_start
-                    )
-            try:
-                result = server.execute(request, ctx)
-            except BatcherClosed:
-                return 503, {"error": "server is draining"}
-            except Exception as exc:  # noqa: BLE001 - must not kill thread
-                metrics.counter("serve.errors").inc()
-                server.logger.error(
-                    "serve.internal_error",
-                    path=path,
-                    request_id=ctx.request_id if ctx is not None else None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                return 500, {"error": "internal server error"}
+        except BadRequest as exc:
+            metrics.counter("serve.bad_requests").inc()
+            server.logger.warning(
+                "serve.bad_request", path=path, error=str(exc)
+            )
+            return 400, exc.to_payload()
+        finally:
+            if ctx is not None:
+                ctx.stage("validate", validate.seconds)
+        try:
+            result = server.execute(request, ctx)
+        except BatcherClosed:
+            return 503, {"error": "server is draining"}
+        except Exception as exc:  # noqa: BLE001 - must not kill thread
+            metrics.counter("serve.errors").inc()
+            server.logger.error(
+                "serve.internal_error",
+                path=path,
+                request_id=ctx.request_id if ctx is not None else None,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            return 500, {"error": "internal server error"}
         server.telemetry.heartbeat()
         return 200, result
 
@@ -208,38 +204,6 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not valid JSON: {exc}") from None
-
-    def _respond(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: dict | None = None,
-    ) -> None:
-        """Send one complete response (plus optional extra headers)."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_json(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        """Send ``payload`` as a JSON response."""
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._respond(
-            status, body, "application/json; charset=utf-8", headers
-        )
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Route access logs to the structured logger instead of stderr."""
-        self.server_ref.logger.debug(
-            "serve.request_line", detail=format % args
-        )
 
 
 class QueryServer:
@@ -415,7 +379,11 @@ class QueryServer:
                 metrics=self.metrics,
             )
         self.warm_engine(self.engine)
-        handler = type("BoundServeHandler", (_ServeHandler,), {"server_ref": self})
+        handler = type(
+            "BoundServeHandler",
+            (_ServeHandler,),
+            {"server_ref": self, "telemetry": self.telemetry},
+        )
         self._httpd = _QueryHTTPServer(
             (self.host, self.requested_port), handler
         )
@@ -423,6 +391,7 @@ class QueryServer:
         self.telemetry.mark_started()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
             name="repro-query-server",
             daemon=True,
         )
@@ -596,23 +565,18 @@ class QueryServer:
         self._lifecycle_state = state_fn
 
     def finalize_request(
-        self,
-        ctx,
-        status: int,
-        *,
-        seconds: float,
-        error: str | None = None,
+        self, ctx, status: int, *, error: str | None = None
     ) -> None:
         """Account one finished request: SLO counters + trace ring entry.
 
         Runs for every admitted request whether or not it was traced
         (``ctx`` may be ``None``), so the SLO sources see identical
-        traffic with tracing on or off.
+        traffic with tracing on or off; the request's
+        ``serve.request`` stage has already recorded its latency.
         """
         self.metrics.counter("serve.responses").inc()
         if status >= 500:
             self.metrics.counter("serve.responses_5xx").inc()
-        self.metrics.histogram("serve.request_seconds").observe(seconds)
         if ctx is None or self.trace_ring is None:
             return
         ctx.lifecycle = self.lifecycle_info()
@@ -643,26 +607,25 @@ class QueryServer:
     def _traced_dispatch(self, service, requests, ctxs):
         """Dispatch with engine-stage collection and a batch trace entry.
 
-        Wraps the service dispatch in the engine's
-        :meth:`~repro.core.query_engine.QueryEngine.collect_stages` sink,
-        then fans the measured snap / gather / score / ANN timings out to
-        every linked request context and records one batch entry in the
-        trace ring — ``links`` lists the request ids it served.  The
-        entry is recorded even when the dispatch raises (with the error
-        attached), so errored requests still resolve to their batch.
+        Wraps the service dispatch in a
+        :func:`~repro.utils.tracing.collect_stages` sink, then fans the
+        measured snap / gather / score / ANN timings out to every linked
+        request context and records one batch entry in the trace ring —
+        ``links`` lists the request ids it served.  The entry is recorded
+        even when the dispatch raises (with the error attached), so
+        errored requests still resolve to their batch.
         """
-        engine = service.engine
-        start = time.perf_counter()
+        dispatch = stage("serve.dispatch")
         error = None
         stages: dict = {}
         try:
-            with engine.collect_stages() as stages:
+            with collect_stages() as stages, dispatch:
                 return service.dispatch(requests)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            seconds = time.perf_counter() - start
+            seconds = dispatch.seconds
             values = stages.pop("values", {})
             linked = [ctx for ctx in ctxs if ctx is not None]
             for ctx in linked:

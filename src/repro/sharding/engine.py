@@ -22,9 +22,10 @@ before the same merge; with ``nprobe == nlist`` each shard covers every
 row and the result matches the exact engines up to tie order inside the
 IVF candidate gather.
 
-Both engines time the fan-out and the merge as ``scatter`` / ``merge``
-stages through the inherited stage sink, so request traces and
-tail-latency attribution see sharding as first-class pipeline stages.
+Both engines time the fan-out and the merge as the leaf stages
+``query.scatter`` / ``query.merge`` (request-trace keys ``scatter`` /
+``merge``), so request traces and tail-latency attribution see sharding
+as first-class pipeline stages.
 The fan-out runs on a thread pool when more than one shard is
 configured (the einsum kernel releases the GIL); the merge is performed
 after all shards return, so thread scheduling never affects results.
@@ -32,7 +33,6 @@ after all shards return, so thread scheduling never affects results.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Hashable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,6 +44,7 @@ from repro.core.prediction import normalize_rows, top_k
 from repro.core.query_engine import QueryEngine
 from repro.sharding.partitioner import HashPartitioner
 from repro.sharding.store import ShardedStore
+from repro.utils.tracing import note_value
 from repro.utils.validation import check_positive
 
 __all__ = ["ShardedQueryEngine", "ShardedIndexedQueryEngine", "merge_topk"]
@@ -212,9 +213,9 @@ class ShardedQueryEngine(QueryEngine):
         Each shard scores its replica with the same per-row einsum the
         dense scan uses and returns its local top-k under the shared tie
         contract; the union is merged by :func:`merge_topk`.  The two
-        phases are timed as ``scatter`` and ``merge`` stages from the
-        calling thread (the stage sink is thread-local), and the fan-out
-        width is noted as ``shards.fanout``.
+        phases are the ``query.scatter`` and ``query.merge`` stages of
+        the calling thread (the stage sink is thread-local), and the
+        fan-out width is noted as ``shards.fanout``.
         """
         cache = self.model.modality_cache(modality)
         replicas = self.replicas_for(modality)
@@ -231,26 +232,25 @@ class ShardedQueryEngine(QueryEngine):
             order = top_k(scores, k)
             return replica.positions[order], scores[order]
 
-        start = time.perf_counter()
-        results = self._map_shards(one_shard, replicas)
-        self._observe_stage("scatter", time.perf_counter() - start)
+        with self._stage("query.scatter", key="scatter"):
+            results = self._map_shards(one_shard, replicas)
 
-        start = time.perf_counter()
-        positions = np.concatenate([r[0] for r in results])
-        scores = np.concatenate([r[1] for r in results])
-        sel = merge_topk(positions, scores, k)
-        out = [
-            (cache.keys[int(positions[i])], float(scores[i])) for i in sel
-        ]
-        self._observe_stage("merge", time.perf_counter() - start)
-        self._note_stage_value("shards.fanout", self.n_shards)
+        with self._stage("query.merge", key="merge"):
+            positions = np.concatenate([r[0] for r in results])
+            scores = np.concatenate([r[1] for r in results])
+            sel = merge_topk(positions, scores, k)
+            out = [
+                (cache.keys[int(positions[i])], float(scores[i]))
+                for i in sel
+            ]
+        note_value("shards.fanout", self.n_shards)
         return out
 
     # ----------------------------------------------------------------- pickle
 
     def __getstate__(self) -> dict:
-        """Drop the thread pool along with the base engine's sink."""
-        state = super().__getstate__()
+        """Drop the thread pool (it is recreated on first use)."""
+        state = self.__dict__.copy()
         state["_executor"] = None
         return state
 
@@ -313,8 +313,7 @@ class ShardedIndexedQueryEngine(ShardedQueryEngine):
         entry = self._indexes.get(modality)
         if entry is not None and entry[0] == stamp:
             return entry[1]
-        with self.tracer.span("ann.build_sharded", modality=modality):
-            start = time.perf_counter()
+        with self._stage("ann.build", modality=modality, shards=len(replicas)):
             indexes = [
                 IVFIndex(
                     replica.normalized,
@@ -328,9 +327,6 @@ class ShardedIndexedQueryEngine(ShardedQueryEngine):
                 else None
                 for s, replica in enumerate(replicas)
             ]
-            self.metrics.histogram("ann.build_seconds").observe(
-                time.perf_counter() - start
-            )
             self.metrics.counter("ann.index_builds").inc(
                 sum(1 for index in indexes if index is not None)
             )
@@ -397,37 +393,35 @@ class ShardedIndexedQueryEngine(ShardedQueryEngine):
                 )
             return indexes[s].search(queries, k, nprobe=nprobe)
 
-        start = time.perf_counter()
-        results = self._map_shards(one_shard, replicas)
-        self._observe_stage("scatter", time.perf_counter() - start)
+        with self._stage("query.scatter", key="scatter"):
+            results = self._map_shards(one_shard, replicas)
 
-        start = time.perf_counter()
-        out: list[list[tuple[Hashable, float]]] = []
-        keys = cache.keys
-        for q in range(queries.shape[0]):
-            positions = np.concatenate(
-                [
-                    replicas[s].positions[results[s][0][q]]
-                    for s in range(self.n_shards)
-                ]
-            )
-            scores = np.concatenate(
-                [results[s][1][q] for s in range(self.n_shards)]
-            )
-            sel = merge_topk(positions, scores, k)
-            out.append(
-                [
-                    (keys[int(positions[i])], float(scores[i]))
-                    for i in sel
-                ]
-            )
-        self._observe_stage("merge", time.perf_counter() - start)
-        self._note_stage_value("shards.fanout", self.n_shards)
+        with self._stage("query.merge", key="merge"):
+            out: list[list[tuple[Hashable, float]]] = []
+            keys = cache.keys
+            for q in range(queries.shape[0]):
+                positions = np.concatenate(
+                    [
+                        replicas[s].positions[results[s][0][q]]
+                        for s in range(self.n_shards)
+                    ]
+                )
+                scores = np.concatenate(
+                    [results[s][1][q] for s in range(self.n_shards)]
+                )
+                sel = merge_topk(positions, scores, k)
+                out.append(
+                    [
+                        (keys[int(positions[i])], float(scores[i]))
+                        for i in sel
+                    ]
+                )
+        note_value("shards.fanout", self.n_shards)
         stats = [r[2] for r in results if r[2] is not None]
         probed = float(
             np.mean([s.probed_fraction for s in stats]) if stats else 0.0
         )
-        self._note_stage_value("ann.probed_fraction", probed)
+        note_value("ann.probed_fraction", probed)
         self.metrics.counter("ann.searches").inc(queries.shape[0])
         self.metrics.histogram("ann.probed_fraction").observe(probed)
         return out

@@ -1,12 +1,6 @@
-"""Shared utilities: seeded randomness, validation, timing, observability."""
+"""Shared utilities: seeded randomness, validation, observability."""
 
-from repro.utils.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimerStat,
-)
+from repro.utils.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.utils.logging import NULL_LOGGER, NullLogger, StructuredLogger, read_log
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.telemetry import (
@@ -18,13 +12,15 @@ from repro.utils.telemetry import (
     write_telemetry,
 )
 from repro.utils.telemetry_server import TelemetryServer
-from repro.utils.timing import Timer
 from repro.utils.tracing import (
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
+    collect_stages,
     load_trace,
+    note_value,
+    stage,
     walk_spans,
 )
 from repro.utils.validation import (
@@ -37,16 +33,17 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rng",
-    "Timer",
     "Counter",
     "Gauge",
-    "TimerStat",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "stage",
+    "collect_stages",
+    "note_value",
     "load_trace",
     "walk_spans",
     "StructuredLogger",

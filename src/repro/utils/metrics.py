@@ -1,4 +1,4 @@
-"""Lightweight runtime metrics: counters, gauges and timers.
+"""Lightweight runtime metrics: counters, gauges and histograms.
 
 The streaming subsystem (and, optionally, the offline trainer) records its
 operational state — records/sec ingested, buffer occupancy, evictions,
@@ -7,16 +7,16 @@ alias-table rebuilds, per-burst SGNS loss — into a
 cheap: a metric update is a dict lookup plus a float add, so it can sit on
 hot paths without being the thing the profiler finds.
 
-Four metric kinds cover the needs of the codebase:
+Three metric kinds cover the needs of the codebase:
 
 * :class:`Counter` — monotonically increasing totals (records ingested,
   edges buffered, evictions);
 * :class:`Gauge` — last-written values (buffer occupancy, per-burst loss);
-* :class:`TimerStat` — accumulated durations with call counts, giving
-  mean latency and throughput (``count / total``) for free;
-* :class:`Histogram` — fixed log-spaced buckets with p50/p90/p99 quantile
-  estimates, for latency *distributions* (ingestion bursts, query batches,
-  alias-table rebuilds) where a mean hides the tail.
+* :class:`Histogram` — fixed log-spaced buckets with count, total and
+  p50/p90/p99 quantile estimates.  Every duration is a histogram named
+  ``<stage>_seconds``, written by :class:`repro.utils.tracing.stage`,
+  which times each block once for the histogram, the span and the
+  request trace alike.
 
 Registries are plain objects, not process-global state: each
 :class:`~repro.core.streaming.OnlineActor` owns one, and callers that want
@@ -37,12 +37,10 @@ merely reads a snapshot one sample old.
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
-__all__ = ["Counter", "Gauge", "TimerStat", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -71,42 +69,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Overwrite the gauge with ``value``."""
         self.value = float(value)
-
-
-class TimerStat:
-    """Accumulated wall-clock durations with a call count.
-
-    ``rate`` is calls per second of measured time — for a timer wrapping
-    ``partial_fit`` over fixed-size batches this is directly proportional
-    to ingestion throughput.
-    """
-
-    __slots__ = ("count", "total", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one measured duration."""
-        if seconds < 0:
-            raise ValueError(f"durations must be >= 0, got {seconds}")
-        self.count += 1
-        self.total += seconds
-        self.min = min(self.min, seconds)
-        self.max = max(self.max, seconds)
-
-    @property
-    def mean(self) -> float:
-        """Mean duration per call (0 when never observed)."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def rate(self) -> float:
-        """Calls per second of measured time (0 when no time measured)."""
-        return self.count / self.total if self.total > 0 else 0.0
 
 
 def default_latency_buckets() -> tuple[float, ...]:
@@ -243,13 +205,38 @@ class Histogram:
         return out
 
 
+class TimerStat:
+    """Unpickling stand-in for the timers of older registries.
+
+    Registries pickled before every duration became a histogram (models
+    saved by ``repro train --metrics``, cached engines) hold
+    ``TimerStat`` objects with ``count`` / ``total`` / ``min`` / ``max``
+    slots; :meth:`MetricsRegistry.__setstate__` folds each into the
+    histogram ``<name>_seconds``.
+    """
+
+    __slots__ = ("count", "total", "min", "max")
+
+    def histogram(self) -> Histogram:
+        """The timer as a histogram; every observation lands in the
+        bucket of the mean (the timer kept no distribution)."""
+        hist = Histogram()
+        if self.count:
+            mean = self.total / self.count
+            hist.bucket_counts[bisect_left(hist.bounds, mean)] = self.count
+            hist.count = self.count
+            hist.total = self.total
+            hist.min = self.min
+            hist.max = self.max
+        return hist
+
+
 class MetricsRegistry:
-    """Named counters, gauges, timers and histograms, created on first use."""
+    """Named counters, gauges and histograms, created on first use."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, TimerStat] = {}
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -260,9 +247,17 @@ class MetricsRegistry:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Pickle support: a fresh lock is created on load."""
+        """Pickle support: a fresh lock is created on load.
+
+        A timer ``X`` of an older pickle becomes the histogram
+        ``X_seconds``, unless the registry already holds one (a timer
+        and a histogram that timed the same block).
+        """
+        timers = state.pop("_timers", {})
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        for name, timer in timers.items():
+            self._histograms.setdefault(f"{name}_seconds", timer.histogram())
 
     # ------------------------------------------------------------- accessors
 
@@ -282,14 +277,6 @@ class MetricsRegistry:
             with self._lock:
                 return self._gauges.setdefault(name, Gauge())
 
-    def timer(self, name: str) -> TimerStat:
-        """The timer called ``name``, created if absent."""
-        try:
-            return self._timers[name]
-        except KeyError:
-            with self._lock:
-                return self._timers.setdefault(name, TimerStat())
-
     def histogram(
         self, name: str, *, bounds: Sequence[float] | None = None
     ) -> Histogram:
@@ -304,16 +291,6 @@ class MetricsRegistry:
             with self._lock:
                 return self._histograms.setdefault(name, Histogram(bounds))
 
-    @contextmanager
-    def time(self, name: str) -> Iterator[TimerStat]:
-        """Context manager recording the block's duration under ``name``."""
-        stat = self.timer(name)
-        start = time.perf_counter()
-        try:
-            yield stat
-        finally:
-            stat.observe(time.perf_counter() - start)
-
     # -------------------------------------------------------------- reporting
 
     def counters(self) -> dict[str, Counter]:
@@ -326,11 +303,6 @@ class MetricsRegistry:
         with self._lock:
             return dict(sorted(self._gauges.items()))
 
-    def timers(self) -> dict[str, TimerStat]:
-        """Name -> :class:`TimerStat`, sorted by name (export surface)."""
-        with self._lock:
-            return dict(sorted(self._timers.items()))
-
     def histograms(self) -> dict[str, Histogram]:
         """Name -> :class:`Histogram`, sorted by name (export surface)."""
         with self._lock:
@@ -341,16 +313,6 @@ class MetricsRegistry:
         return {
             "counters": {k: c.value for k, c in self.counters().items()},
             "gauges": {k: g.value for k, g in self.gauges().items()},
-            "timers": {
-                k: {
-                    "count": t.count,
-                    "total": t.total,
-                    "mean": t.mean,
-                    "min": t.min if t.count else 0.0,
-                    "max": t.max,
-                }
-                for k, t in self.timers().items()
-            },
             "histograms": {
                 k: {
                     "count": h.count,
@@ -373,14 +335,6 @@ class MetricsRegistry:
             rows.append((name, f"{counter.value:g}"))
         for name, gauge in self.gauges().items():
             rows.append((name, f"{gauge.value:g}"))
-        for name, timer in self.timers().items():
-            rows.append(
-                (
-                    name,
-                    f"{timer.total:.3f}s over {timer.count} calls "
-                    f"(mean {timer.mean * 1e3:.2f}ms)",
-                )
-            )
         for name, hist in self.histograms().items():
             rows.append(
                 (
@@ -401,5 +355,4 @@ class MetricsRegistry:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
-            self._timers.clear()
             self._histograms.clear()

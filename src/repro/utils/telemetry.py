@@ -7,8 +7,8 @@ monitoring stack can consume:
 
 * :func:`render_prometheus` serializes a registry in the Prometheus text
   exposition format (version 0.0.4): counters as ``*_total``, gauges
-  verbatim, timers as summaries (``_sum`` / ``_count``) and histograms as
-  classic cumulative ``_bucket{le=...}`` series;
+  verbatim and histograms — every duration among them — as classic
+  cumulative ``_bucket{le=...}`` series with ``_sum`` / ``_count``;
 * :func:`write_telemetry` dumps a whole telemetry directory —
   ``metrics.prom``, ``trace.jsonl``, ``slow_queries.jsonl``,
   ``alerts.jsonl``, ``requests.jsonl`` (the serving trace ring) — which
@@ -17,10 +17,11 @@ monitoring stack can consume:
 * :func:`summarize_trace` / :func:`render_trace_summary` aggregate a span
   forest into a per-name latency table for operator eyeballs.
 
-The naming convention: registry names are dotted (``stream.ingest``),
-Prometheus names are the sanitized form under one namespace
-(``repro_stream_ingest``).  Metric names carry their own unit suffix
-(``*_seconds``) where the value is a duration.
+The naming convention: registry names are dotted
+(``stream.ingest_seconds``), Prometheus names are the sanitized form under
+one namespace (``repro_stream_ingest_seconds``).  Metric names carry their
+own unit suffix (``*_seconds``) where the value is a duration, so each
+name is exactly one Prometheus family of one type.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def render_prometheus(
 ) -> str:
     """The registry in Prometheus text exposition format (0.0.4).
 
-    Counters gain the conventional ``_total`` suffix; timers export as
-    summaries with ``_seconds_sum`` / ``_seconds_count`` plus ``_min`` /
-    ``_max`` gauges; histograms export cumulative ``_bucket`` series with
-    ``le`` labels, ending in the mandatory ``le="+Inf"`` bucket.
+    Counters gain the conventional ``_total`` suffix, gauges export
+    verbatim, and histograms export cumulative ``_bucket`` series with
+    ``le`` labels, ending in the mandatory ``le="+Inf"`` bucket, plus
+    ``_sum`` / ``_count``.
     """
     lines: list[str] = []
     for name, counter in registry.counters().items():
@@ -98,17 +99,6 @@ def render_prometheus(
         metric = prometheus_name(name, namespace=namespace)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(gauge.value)}")
-    for name, timer in registry.timers().items():
-        metric = prometheus_name(name, namespace=namespace) + "_seconds"
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_sum {_format_value(timer.total)}")
-        lines.append(f"{metric}_count {_format_value(timer.count)}")
-        lines.append(f"# TYPE {metric}_min gauge")
-        lines.append(
-            f"{metric}_min {_format_value(timer.min if timer.count else 0.0)}"
-        )
-        lines.append(f"# TYPE {metric}_max gauge")
-        lines.append(f"{metric}_max {_format_value(timer.max)}")
     for name, hist in registry.histograms().items():
         metric = prometheus_name(name, namespace=namespace)
         lines.append(f"# TYPE {metric} histogram")

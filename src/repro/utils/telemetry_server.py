@@ -52,11 +52,19 @@ __all__ = ["TelemetryServer"]
 # healthz status severity order; providers may report any of these.
 _STATUS_RANK = {"ok": 0, "stale": 1, "alerting": 2}
 
+#: ``serve_forever``'s poll interval: how long ``stop()`` can wait in
+#: ``shutdown()`` (the stdlib default is 0.5 s).
+SHUTDOWN_POLL_SECONDS = 0.05
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`TelemetryServer`."""
 
-    # Built once per TelemetryServer via type(); the server injects itself.
+class TelemetryHandler(BaseHTTPRequestHandler):
+    """Request handler bound to the owning :class:`TelemetryServer`.
+
+    The query-serving daemon's handler subclasses it, adding only its
+    ``POST`` endpoints.
+    """
+
+    # Built once per server via type(); the server injects its renderer.
     telemetry: "TelemetryServer"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -69,18 +77,31 @@ class _Handler(BaseHTTPRequestHandler):
         status, body, content_type = rendered
         self._respond(status, body, content_type)
 
-    def _respond(self, status: int, body: bytes, content_type: str) -> None:
-        """Send one complete response."""
+    def _respond(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict | None = None,
+    ) -> None:
+        """Send one complete response (plus optional extra headers)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if headers:
+            for name, value in headers.items():
+                self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _respond_json(self, status: int, payload: dict) -> None:
+    def _respond_json(
+        self, status: int, payload: dict, headers: dict | None = None
+    ) -> None:
         """Send ``payload`` as a JSON response."""
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._respond(status, body, "application/json; charset=utf-8")
+        self._respond(
+            status, body, "application/json; charset=utf-8", headers
+        )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route access logs to the structured logger instead of stderr."""
@@ -160,7 +181,7 @@ class TelemetryServer:
         """Bind the socket and serve from a daemon thread; returns self."""
         if self._httpd is not None:
             raise RuntimeError("telemetry server already started")
-        handler = type("BoundHandler", (_Handler,), {"telemetry": self})
+        handler = type("BoundHandler", (TelemetryHandler,), {"telemetry": self})
         self._httpd = ThreadingHTTPServer(
             (self.host, self.requested_port), handler
         )
@@ -168,6 +189,7 @@ class TelemetryServer:
         self.mark_started()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
             name="repro-telemetry-server",
             daemon=True,
         )

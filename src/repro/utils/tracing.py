@@ -1,4 +1,4 @@
-"""Lightweight span tracing for the ACTOR pipeline.
+"""Stage timing and span tracing for the ACTOR pipeline.
 
 Where :mod:`repro.utils.metrics` answers "how often / how long in
 aggregate", a trace answers "where did *this* operation spend its time".
@@ -7,6 +7,16 @@ name, wall-clock start/duration, free-form attributes and nested children.
 Nesting is implicit — entering ``tracer.span(...)`` while another span is
 open parents the new span under it, so instrumented call stacks come out
 as trees without any plumbing.
+
+Every timed block of the pipeline goes through one primitive,
+:class:`stage`: it reads the clock once on entry and once on exit and
+hands that one duration to each sink it was given — the histogram
+``<name>_seconds`` of a :class:`~repro.utils.metrics.MetricsRegistry`,
+the span ``<name>`` of a recording tracer, and, for the leaf stages of a
+served request, the calling thread's request-stage sink opened by
+:func:`collect_stages`.  So ``/metrics``, span traces and request traces
+read the same number for the same stage.  ``Tracer.span`` is a stage
+whose only sink is the tracer.
 
 The instrumented modules accept an optional tracer and default to the
 shared :data:`NULL_TRACER`, whose ``span()`` returns a cached no-op
@@ -32,9 +42,17 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "stage",
+    "collect_stages",
+    "note_value",
     "load_trace",
     "walk_spans",
 ]
+
+# The calling thread's request-stage sink (see collect_stages): a sink is
+# per thread, so the coalescing dispatcher and a handler thread that
+# dispatches directly never mix their stages.
+_thread_sinks = threading.local()
 
 
 class Span:
@@ -181,19 +199,22 @@ class Tracer:
         span = self.current_span
         return span.span_id if span is not None else None
 
-    @contextmanager
-    def span(self, name: str, **attributes) -> Iterator[Span]:
+    def span(self, name: str, **attributes) -> "stage":
         """Open a span; nested calls become children of the innermost open
-        span.  The span's duration is stamped on exit (also on exception)."""
+        span.  The span's duration is stamped on exit (also on exception).
+
+        A :class:`stage` whose only sink is this tracer: ``set()`` on the
+        context value attaches attributes to the span.
+        """
+        return stage(name, tracer=self, **attributes)
+
+    def _open(self, name: str, start: float, attributes: dict) -> Span:
+        """Push a span that started at ``perf_counter()`` time ``start``."""
         with self._lock:
             self._next_id += 1
             span_id = f"s{self._next_id}"
         span = Span(
-            name,
-            time.perf_counter() - self._epoch,
-            None,
-            attributes,
-            span_id=span_id,
+            name, start - self._epoch, None, attributes, span_id=span_id
         )
         stack = self._stack
         if stack:
@@ -202,13 +223,12 @@ class Tracer:
             with self._lock:
                 self.roots.append(span)
         stack.append(span)
-        try:
-            yield span
-        finally:
-            span.duration = (
-                time.perf_counter() - self._epoch - span.start
-            )
-            stack.pop()
+        return span
+
+    def _close(self, span: Span, seconds: float) -> None:
+        """Stamp ``span``'s duration and pop it off the calling thread."""
+        span.duration = seconds
+        self._stack.pop()
 
     def total_seconds(self, name: str) -> float:
         """Summed duration of every *root* span named ``name``."""
@@ -276,6 +296,104 @@ class _NullSpan:
 
 _NULL_CONTEXT = nullcontext(_NullSpan())
 NULL_TRACER = NullTracer()
+
+
+class stage:
+    """Time one block once and hand that duration to every sink.
+
+    The clock is read once on entry and once on exit; the one duration,
+    also kept as :attr:`seconds`, goes to
+
+    * the histogram ``<name>_seconds`` of ``metrics``, when given;
+    * the span ``<name>`` (with ``attributes``) of ``tracer``, when it
+      records;
+    * the calling thread's request-stage sink under ``key``, when a key
+      is given and the block runs inside :func:`collect_stages`.  Only
+      leaf stages take a key, so no request-trace time counts twice.
+
+    All three are written also when the block raises.  Stages nest (a
+    stage opened inside another becomes a child span), and the context
+    value is the stage itself: :meth:`set` attaches span attributes and
+    :attr:`seconds` reads the duration after the block.
+    """
+
+    __slots__ = (
+        "name", "metrics", "tracer", "key", "attributes", "seconds",
+        "_start", "_span",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        metrics=None,
+        tracer=None,
+        key: str | None = None,
+        **attributes,
+    ) -> None:
+        self.name = name
+        self.metrics = metrics
+        self.tracer = tracer
+        self.key = key
+        self.attributes = attributes
+        self.seconds = 0.0
+        self._span: Span | None = None
+
+    def __enter__(self) -> "stage":
+        """Read the start time; open the span when the tracer records."""
+        start = self._start = time.perf_counter()
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            self._span = tracer._open(self.name, start, self.attributes)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Read the end time once and feed that duration to every sink."""
+        seconds = self.seconds = time.perf_counter() - self._start
+        if self.metrics is not None:
+            self.metrics.histogram(self.name + "_seconds").observe(seconds)
+        if self._span is not None:
+            self.tracer._close(self._span, seconds)
+        if self.key is not None:
+            sink = getattr(_thread_sinks, "sink", None)
+            if sink is not None:
+                sink[self.key] = sink.get(self.key, 0.0) + seconds
+
+    def set(self, **attributes) -> None:
+        """Attach (or overwrite) attributes on the span, if one is open."""
+        if self._span is not None:
+            self._span.attributes.update(attributes)
+
+
+@contextmanager
+def collect_stages() -> Iterator[dict]:
+    """Collect the calling thread's keyed stage timings for one dispatch.
+
+    Yields a dict that accumulates ``{"snap": seconds, "gather": ...,
+    "score": ...}`` for every keyed :class:`stage` the *calling thread*
+    runs inside the block, plus non-duration observations from
+    :func:`note_value` under a ``values`` sub-dict (e.g. the ANN probed
+    fraction).  The sink is thread-local, so concurrent dispatches — the
+    coalescing dispatcher and a non-coalesced handler — never mix
+    stages.  Nests safely: the previous sink is restored on exit.
+    """
+    sink: dict = {}
+    previous = getattr(_thread_sinks, "sink", None)
+    _thread_sinks.sink = sink
+    try:
+        yield sink
+    finally:
+        _thread_sinks.sink = previous
+
+
+def note_value(key: str, value: float) -> None:
+    """Record a non-duration observation on the calling thread's sink.
+
+    A no-op outside :func:`collect_stages`.
+    """
+    sink = getattr(_thread_sinks, "sink", None)
+    if sink is not None:
+        sink.setdefault("values", {})[key] = value
 
 
 def load_trace(path: str | Path) -> list[Span]:

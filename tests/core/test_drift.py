@@ -151,8 +151,8 @@ class TestStationaryGuard:
             "drift.alarm",
         ):
             assert name in gauges, name
-        assert online.metrics.timer("drift.observe").count == 6
-        assert online.metrics.timer("drift.probe").count == 2
+        assert online.metrics.histogram("drift.observe_seconds").count == 6
+        assert online.metrics.histogram("drift.probe_seconds").count == 2
 
 
 class TestInjectedShift:

@@ -21,6 +21,7 @@ from repro.eval.mrr import make_queries, query_rank, query_ranks
 from repro.eval import hits_at_k, mean_reciprocal_rank
 from repro.hotspots import HotspotDetector
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.tracing import collect_stages
 
 TARGETS = ("text", "location", "time")
 
@@ -249,8 +250,8 @@ class TestMetricsWiring:
         queries = query_sets["location"][:10]
         engine.rank_batch(queries)
         assert registry.counter("query.queries").value == len(queries)
-        assert registry.timer("query.embed").count == 1
-        assert registry.timer("query.score").count == 1
+        assert registry.histogram("query.embed_seconds").count == 1
+        assert registry.histogram("query.score_seconds").count == 1
 
     def test_engine_accessor_is_cached(self, tiny_actor):
         assert tiny_actor.query_engine() is tiny_actor.query_engine()
@@ -262,11 +263,11 @@ class TestMetricsWiring:
         import pickle
 
         engine = tiny_actor.query_engine()
-        with engine.collect_stages() as stages:
+        with collect_stages() as stages:
             engine.rank_batch(query_sets["location"][:4])
         assert "score" in stages
         loaded = pickle.loads(pickle.dumps(engine))
-        with loaded.collect_stages() as reloaded_stages:
+        with collect_stages() as reloaded_stages:
             loaded.rank_batch(query_sets["location"][:4])
         assert "score" in reloaded_stages
 

@@ -12,6 +12,7 @@ import http.client
 import json
 import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -327,8 +328,8 @@ class TestDrain:
         t.start()
         assert entered.wait(timeout=10.0)
         # Begin the drain while the request is held mid-dispatch.  One
-        # second outlasts serve_forever's 0.5 s shutdown poll, so a stop()
-        # that did not drain would have returned by then.
+        # second outlasts serve_forever's shutdown poll, so a stop() that
+        # did not drain would have returned by then.
         stopper = threading.Thread(target=server.stop)
         stopper.start()
         stopper.join(timeout=1.0)
@@ -343,6 +344,15 @@ class TestDrain:
         status, payload = results["response"]
         assert status == 200
         assert len(payload["neighbors"]) == 10
+
+    def test_stop_right_after_start_is_prompt(self, tiny_actor):
+        # shutdown() waits for serve_forever's next poll; the stdlib
+        # default of 0.5 s made every stop() of an idle server ~0.45 s.
+        server = QueryServer(tiny_actor, port=0).start()
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.25
+        assert not server.running
 
     def test_stop_is_idempotent(self, tiny_actor):
         server = QueryServer(tiny_actor, port=0).start()

@@ -280,6 +280,26 @@ class TestTracePropagation:
         assert "score" in stages
         assert batches[-1]["dispatch_ms"] >= stages["score"]
 
+    def test_request_stages_read_the_engine_histograms(self, tiny_actor):
+        # One clock reading per stage: a fresh server's only request
+        # reports exactly the score time its histogram holds.
+        with QueryServer(tiny_actor, port=0) as server:
+            status, _payload, _headers = _post(
+                f"{server.url}/v1/predict",
+                PREDICT_BODY,
+                headers={"X-Request-Id": "one-score"},
+            )
+            entries = {e["id"]: e for e in server.trace_ring.entries()}
+            score = server.metrics.histogram("query.score_seconds")
+        assert status == 200
+        stages_ms = entries["one-score"]["stages_ms"]
+        assert score.count == 1
+        assert stages_ms["score"] == round(1e3 * score.total, 3)
+        # Only leaf stages reach the request trace.
+        assert set(stages_ms) == {
+            "validate", "queue_wait", "snap", "score", "fanback",
+        }
+
     def test_errors_carry_request_id_in_payload(self, tiny_actor):
         with QueryServer(tiny_actor, port=0) as server:
             status, payload, headers = _post(

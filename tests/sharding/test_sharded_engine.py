@@ -11,6 +11,7 @@ from repro.sharding.engine import (
     ShardedQueryEngine,
     merge_topk,
 )
+from repro.utils.tracing import collect_stages
 
 MODALITIES = ("word", "time", "location", "user")
 
@@ -62,7 +63,7 @@ class TestExactParity:
 class TestStages:
     def test_scatter_and_merge_are_timed(self, tiny_actor):
         engine = ShardedQueryEngine(tiny_actor, n_shards=4)
-        with engine.collect_stages() as stages:
+        with collect_stages() as stages:
             engine.neighbors(np.ones(tiny_actor.dim), "word", 5)
         assert stages["scatter"] > 0
         assert stages["merge"] > 0

@@ -1,10 +1,55 @@
-"""Tests for the runtime metrics registry (counters / gauges / timers)."""
+"""Tests for the runtime metrics registry (counters / gauges / histograms)."""
 
 import json
+import pickle
 
 import pytest
 
-from repro.utils.metrics import Counter, Gauge, MetricsRegistry, TimerStat
+from repro.utils.metrics import Counter, Gauge, MetricsRegistry
+from repro.utils.tracing import stage
+
+# A registry pickled before durations became histograms, as a model saved
+# by ``repro train --metrics`` carries it: made with ``r =
+# MetricsRegistry()``, ``r.timer("fit.train").observe(0.5)``,
+# ``r.timer("train.epoch").observe(0.25)``,
+# ``r.histogram("train.epoch_seconds").observe(0.25)`` and
+# ``pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)``.
+OLD_TIMER_REGISTRY_PICKLE = (
+    b"\x80\x05\x95\xad\x02\x00\x00\x00\x00\x00\x00\x8c\x13repro.ut"
+    b"ils.metrics\x94\x8c\x0fMetricsRegistry\x94\x93\x94)\x81\x94}"
+    b"\x94(\x8c\t_counters\x94}\x94\x8c\x07_gauges\x94}"
+    b"\x94\x8c\x07_timers\x94}\x94(\x8c\tfit.train\x94h\x00\x8c\tT"
+    b"imerStat\x94\x93\x94)\x81\x94N}\x94(\x8c\x05count\x94K"
+    b"\x01\x8c\x05total\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x03m"
+    b"in\x94G?\xe0\x00\x00\x00\x00\x00\x00\x8c\x03max\x94G?"
+    b"\xe0\x00\x00\x00\x00\x00\x00u\x86\x94b\x8c\x0btrain.epoch"
+    b"\x94h\r)\x81\x94N}\x94(h\x10K\x01h\x11G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00h\x12G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00h\x13G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00u\x86\x94bu\x8c\x0b_histograms"
+    b"\x94}\x94\x8c\x13train.epoch_seconds\x94h\x00\x8c\tHistogram"
+    b"\x94\x93\x94)\x81\x94N}\x94(\x8c\x06bounds\x94(G>"
+    b"\xb0\xc6\xf7\xa0\xb5\xed\x8dG>\xc0\xc6\xf7\xa0\xb5\xed\x8dG>"
+    b"\xd0\xc6\xf7\xa0\xb5\xed\x8dG>\xe0\xc6\xf7\xa0\xb5\xed\x8dG>"
+    b"\xf0\xc6\xf7\xa0\xb5\xed\x8dG?\x00\xc6\xf7\xa0\xb5\xed\x8dG?"
+    b"\x10\xc6\xf7\xa0\xb5\xed\x8dG? \xc6\xf7\xa0\xb5\xed\x8dG?0"
+    b"\xc6\xf7\xa0\xb5\xed\x8dG?@\xc6\xf7\xa0\xb5\xed\x8dG?P"
+    b"\xc6\xf7\xa0\xb5\xed\x8dG?`\xc6\xf7\xa0\xb5\xed\x8dG?p"
+    b"\xc6\xf7\xa0\xb5\xed\x8dG?\x80\xc6\xf7\xa0\xb5\xed\x8dG?"
+    b"\x90\xc6\xf7\xa0\xb5\xed\x8dG?\xa0\xc6\xf7\xa0\xb5\xed\x8dG?"
+    b"\xb0\xc6\xf7\xa0\xb5\xed\x8dG?\xc0\xc6\xf7\xa0\xb5\xed\x8dG?"
+    b"\xd0\xc6\xf7\xa0\xb5\xed\x8dG?\xe0\xc6\xf7\xa0\xb5\xed\x8dG?"
+    b"\xf0\xc6\xf7\xa0\xb5\xed\x8dG@\x00\xc6\xf7\xa0\xb5\xed\x8dG@"
+    b"\x10\xc6\xf7\xa0\xb5\xed\x8dG@ \xc6\xf7\xa0\xb5\xed\x8dG@0"
+    b"\xc6\xf7\xa0\xb5\xed\x8dG@@\xc6\xf7\xa0\xb5\xed\x8dG@P"
+    b"\xc6\xf7\xa0\xb5\xed\x8dt\x94\x8c\rbucket_counts\x94]\x94(K"
+    b"\x00K\x00K\x00K\x00K\x00K\x00K\x00K\x00K\x00K\x00K\x00K\x00K"
+    b"\x00K\x00K\x00K\x00K\x00K\x00K\x01K\x00K\x00K\x00K\x00K\x00K"
+    b"\x00K\x00K\x00K\x00eh\x10K\x01h\x11G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00h\x12G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00h\x13G?"
+    b"\xd0\x00\x00\x00\x00\x00\x00u\x86\x94bsub."
+)
 
 
 class TestCounter:
@@ -28,73 +73,51 @@ class TestGauge:
         assert gauge.value == 1.5
 
 
-class TestTimerStat:
-    def test_observe_updates_aggregates(self):
-        timer = TimerStat()
-        timer.observe(0.2)
-        timer.observe(0.4)
-        assert timer.count == 2
-        assert timer.total == pytest.approx(0.6)
-        assert timer.min == pytest.approx(0.2)
-        assert timer.max == pytest.approx(0.4)
-        assert timer.mean == pytest.approx(0.3)
-        assert timer.rate == pytest.approx(2 / 0.6)
-
-    def test_empty_timer_has_safe_derived_values(self):
-        timer = TimerStat()
-        assert timer.mean == 0.0
-        assert timer.rate == 0.0
-
-    def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            TimerStat().observe(-0.1)
-
-
 class TestMetricsRegistry:
     def test_get_or_create_is_idempotent(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("b") is registry.gauge("b")
-        assert registry.timer("c") is registry.timer("c")
+        assert registry.histogram("c") is registry.histogram("c")
 
     def test_time_context_manager_records(self):
         registry = MetricsRegistry()
-        with registry.time("block"):
+        with stage("block", metrics=registry) as timed:
             pass
-        timer = registry.timer("block")
-        assert timer.count == 1
-        assert timer.total >= 0.0
+        hist = registry.histogram("block_seconds")
+        assert hist.count == 1
+        assert hist.total == timed.seconds >= 0.0
 
     def test_time_records_even_on_exception(self):
         registry = MetricsRegistry()
         with pytest.raises(RuntimeError):
-            with registry.time("block"):
+            with stage("block", metrics=registry):
                 raise RuntimeError("boom")
-        assert registry.timer("block").count == 1
+        assert registry.histogram("block_seconds").count == 1
 
     def test_snapshot_is_json_safe(self):
         registry = MetricsRegistry()
         registry.counter("records").inc(10)
         registry.gauge("occupancy").set(0.5)
-        with registry.time("step"):
+        with stage("step", metrics=registry):
             pass
         snapshot = registry.snapshot()
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["counters"]["records"] == 10
         assert snapshot["gauges"]["occupancy"] == 0.5
-        assert snapshot["timers"]["step"]["count"] == 1
+        assert snapshot["histograms"]["step_seconds"]["count"] == 1
 
     def test_render_lists_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("records").inc(3)
         registry.gauge("loss").set(1.25)
-        with registry.time("fit"):
+        with stage("fit", metrics=registry):
             pass
         table = registry.render(title="demo")
         assert "demo" in table
         assert "records" in table
         assert "loss" in table
-        assert "fit" in table
+        assert "fit_seconds" in table
 
     def test_render_empty(self):
         assert "(empty)" in MetricsRegistry().render()
@@ -107,15 +130,12 @@ class TestMetricsRegistry:
         assert registry.snapshot() == {
             "counters": {},
             "gauges": {},
-            "timers": {},
             "histograms": {},
         }
         assert registry.counter("x").value == 0.0
 
     def test_pickle_round_trip_recreates_lock(self):
         """Models carry registries; pickling must survive the lock."""
-        import pickle
-
         registry = MetricsRegistry()
         registry.counter("stream.records").inc(9)
         registry.gauge("buffer.occupancy").set(0.5)
@@ -125,6 +145,24 @@ class TestMetricsRegistry:
         # The restored registry is fully functional (lock recreated).
         clone.counter("new").inc()
         assert clone.render()
+
+    def test_old_pickled_timers_load_as_histograms(self):
+        registry = pickle.loads(OLD_TIMER_REGISTRY_PICKLE)
+        hist = registry.histogram("fit.train_seconds")
+        assert hist.count == 1
+        assert hist.total == 0.5
+        assert hist.min == hist.max == hist.p50 == 0.5
+        assert "_timers" not in vars(registry)
+        # The timer and the histogram that timed one block fold into the
+        # histogram alone: it already holds every observation.
+        assert registry.histogram("train.epoch_seconds").count == 1
+        assert sorted(registry.histograms()) == [
+            "fit.train_seconds", "train.epoch_seconds",
+        ]
+        # A loaded registry keeps recording.
+        with stage("fit.train", metrics=registry):
+            pass
+        assert registry.histogram("fit.train_seconds").count == 2
 
     def test_concurrent_creation_is_safe(self):
         import threading

@@ -28,9 +28,6 @@ def _golden_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("query.queries").inc(3)
     registry.gauge("buffer.occupancy").set(0.25)
-    timer = registry.timer("stream.ingest")
-    timer.observe(0.25)
-    timer.observe(0.5)
     hist = registry.histogram("query.batch_seconds", bounds=(0.1, 1.0, 10.0))
     for value in (0.05, 0.5, 0.5, 20.0):
         hist.observe(value)

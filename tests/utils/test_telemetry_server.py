@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -52,6 +53,15 @@ class TestLifecycle:
         server = TelemetryServer(registry).start()
         server.stop()
         server.stop()
+
+    def test_stop_right_after_start_is_prompt(self, registry):
+        # shutdown() waits for serve_forever's next poll; the stdlib
+        # default of 0.5 s made every stop() of an idle server ~0.45 s.
+        server = TelemetryServer(registry).start()
+        began = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - began < 0.25
+        assert not server.running
 
     def test_invalid_stale_after_rejected(self, registry):
         with pytest.raises(ValueError, match="stale_after"):

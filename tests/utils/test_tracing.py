@@ -1,15 +1,20 @@
-"""Tests for span tracing: nesting, attributes, JSONL round-trip."""
+"""Tests for span tracing and stage timing: nesting, attributes, sinks,
+JSONL round-trip."""
 
 import threading
 
 import pytest
 
+from repro.utils.metrics import MetricsRegistry
 from repro.utils.tracing import (
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
+    collect_stages,
     load_trace,
+    note_value,
+    stage,
     walk_spans,
 )
 
@@ -214,3 +219,112 @@ class TestNullTracer:
 
     def test_span_context_is_cached(self):
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
+
+
+class TestStage:
+    def test_one_reading_reaches_histogram_span_and_sink(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        with collect_stages() as sink:
+            with stage(
+                "query.score",
+                metrics=registry,
+                tracer=tracer,
+                key="score",
+                target="time",
+            ) as timed:
+                timed.set(rows=3)
+        (span,) = tracer.roots
+        hist = registry.histogram("query.score_seconds")
+        assert span.name == "query.score"
+        assert span.attributes == {"target": "time", "rows": 3}
+        assert hist.count == 1
+        assert span.duration == hist.total == sink["score"] == timed.seconds
+
+    def test_records_on_exception(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        with collect_stages() as sink:
+            with pytest.raises(RuntimeError):
+                with stage(
+                    "boom", metrics=registry, tracer=tracer, key="boom"
+                ):
+                    raise RuntimeError("x")
+        assert registry.histogram("boom_seconds").count == 1
+        assert tracer.roots[0].duration == sink["boom"]
+        # The span stack unwound: the next stage is a fresh root.
+        with stage("after", tracer=tracer):
+            pass
+        assert [s.name for s in tracer.roots] == ["boom", "after"]
+
+    def test_stages_nest(self):
+        registry, tracer = MetricsRegistry(), Tracer()
+        with stage("outer", metrics=registry, tracer=tracer) as outer:
+            with stage("inner", metrics=registry, tracer=tracer) as inner:
+                pass
+        (root,) = tracer.roots
+        assert [c.name for c in root.children] == ["inner"]
+        assert root.children[0].duration == inner.seconds <= outer.seconds
+        assert registry.histogram("outer_seconds").count == 1
+        assert registry.histogram("inner_seconds").count == 1
+
+    def test_only_keyed_stages_feed_the_sink(self):
+        with collect_stages() as sink:
+            with stage("query.batch"):
+                with stage("query.score", key="score") as score:
+                    pass
+                with stage("query.score", key="score") as again:
+                    pass
+        assert sink == {"score": score.seconds + again.seconds}
+
+    def test_no_sink_outside_collect_stages(self):
+        with stage("query.score", key="score"):
+            pass
+        note_value("ann.probed_fraction", 0.5)
+        with collect_stages() as sink:
+            pass
+        assert sink == {}
+
+    def test_collect_stages_nests_and_restores(self):
+        with collect_stages() as outer:
+            with stage("a", key="a"):
+                pass
+            with collect_stages() as inner:
+                with stage("b", key="b"):
+                    pass
+                note_value("ann.probed_fraction", 0.5)
+            with stage("c", key="c"):
+                pass
+        assert set(outer) == {"a", "c"}
+        assert set(inner) == {"b", "values"}
+        assert inner["values"] == {"ann.probed_fraction": 0.5}
+
+    def test_sink_is_per_thread(self):
+        seen = {}
+        barrier = threading.Barrier(2, timeout=10)
+
+        def worker():
+            barrier.wait()
+            with stage("other", key="other"):
+                pass
+            with collect_stages() as own:
+                with stage("mine", key="mine"):
+                    pass
+            seen["worker"] = own
+
+        with collect_stages() as main_sink:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            barrier.wait()
+            with stage("main", key="main"):
+                pass
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert set(main_sink) == {"main"}
+        assert set(seen["worker"]) == {"mine"}
+
+    def test_without_sinks_it_only_times(self):
+        with stage("plain") as timed:
+            timed.set(ignored=True)
+        assert timed.seconds >= 0.0
+        with stage("quiet", tracer=NULL_TRACER) as quiet:
+            pass
+        assert quiet.seconds >= 0.0

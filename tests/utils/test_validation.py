@@ -61,12 +61,3 @@ class TestCheckShape:
     def test_rejects_wrong_extent(self):
         with pytest.raises(ValueError, match="shape"):
             check_shape("m", np.zeros((2, 4)), (2, 3))
-
-
-class TestTimer:
-    def test_timer_measures_elapsed(self):
-        from repro.utils import Timer
-
-        with Timer() as t:
-            sum(range(100))
-        assert t.elapsed >= 0.0

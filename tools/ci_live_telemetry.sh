@@ -5,7 +5,7 @@
 # the responses are well-formed (Prometheus text with live counters,
 # healthz JSON carrying heartbeat + drift + buffer state).  Two /metrics
 # scrapes taken mid-run must differ — the endpoint serves live registry
-# state, not a snapshot.
+# state, not a snapshot — and each must name every family once.
 #
 # Usage: bash tools/ci_live_telemetry.sh  (from the repo root)
 set -euo pipefail
@@ -63,6 +63,14 @@ if cmp -s "$WORK/metrics_first.prom" "$WORK/metrics_second.prom"; then
   echo "FAIL: /metrics identical across scrapes taken 1s apart" >&2
   exit 1
 fi
+# The exposition format allows one TYPE line per family.
+for scrape in "$WORK/metrics_first.prom" "$WORK/metrics_second.prom"; do
+  DUPES=$(grep '^# TYPE' "$scrape" | awk '{print $3}' | sort | uniq -d)
+  if [ -n "$DUPES" ]; then
+    echo "FAIL: $scrape repeats families: $DUPES" >&2
+    exit 1
+  fi
+done
 
 python - "$WORK" <<'EOF'
 import json

@@ -3,7 +3,8 @@
 # launch `repro serve --mmap` against it, fire a `repro loadgen` burst of
 # mixed predict/neighbor traffic, and assert zero 5xx responses plus a
 # well-formed /healthz.  Sequential requests to the then idle server must
-# skip the batch window (X-Queue-Wait-Ms under the 2 ms default).  Then
+# skip the batch window (X-Queue-Wait-Ms under the 2 ms default), and the
+# /metrics exposition must name each family once.  Then
 # run the serve latency bench at smoke scale
 # (tiny model, permissive speed gates — the acceptance thresholds apply
 # at the default benchmark scale on quiet hardware) and upload its
@@ -87,6 +88,13 @@ grep -q 'repro_serve_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_bad_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_responses_total' "$WORK/metrics.prom"
 grep -q 'repro_slo_availability_compliance' "$WORK/metrics.prom"
+# The exposition format allows one TYPE line per family: a repeated name
+# means two metric kinds (or two clock readings) report one stage.
+DUPES=$(grep '^# TYPE' "$WORK/metrics.prom" | awk '{print $3}' | sort | uniq -d)
+if [ -n "$DUPES" ]; then
+  echo "FAIL: /metrics repeats families: $DUPES" >&2
+  exit 1
+fi
 
 # Live tail-latency attribution against the running server.
 python -m repro tail --url "$BASE" >"$WORK/tail_live.txt"
