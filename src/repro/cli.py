@@ -375,11 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "nlist is exact coverage — see docs/operations.md for tuning)",
     )
     serve.add_argument(
-        "--no-coalesce", action="store_true",
-        help="disable request coalescing: every request becomes its own "
-        "engine call (the naive path the latency bench compares against)",
-    )
-    serve.add_argument(
         "--stale-after", type=float, metavar="SECONDS",
         help="/healthz degrades to 'stale' when no query completed for "
         "this long (default: never)",
@@ -988,7 +983,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_batch=args.max_batch,
         batch_window_ms=args.batch_window_ms,
-        coalesce=not args.no_coalesce,
         logger=logger,
         stale_after=args.stale_after,
         ann=args.ann,
@@ -1022,7 +1016,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             logger=logger,
         )
         manager.start()
-    mode = "coalesced" if server.coalesce else "per-request"
+    mode = "coalesced"
     n_shards = server.shards_for(model)
     if n_shards > 1:
         mode += f"; {n_shards}-shard bundle"

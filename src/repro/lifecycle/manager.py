@@ -36,7 +36,6 @@ from repro.lifecycle.gate import PromotionGate
 from repro.lifecycle.publisher import CURRENT_POINTER, write_pointer
 from repro.lifecycle.swapper import ModelSwapper
 from repro.lifecycle.watcher import BundleWatcher
-from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 
 __all__ = ["LifecycleManager"]
@@ -99,9 +98,7 @@ class LifecycleManager:
             )
         self.server = server
         self.metrics = metrics if metrics is not None else server.metrics
-        self.logger = logger if logger is not None else (
-            server.logger if server.logger is not None else NULL_LOGGER
-        )
+        self.logger = logger if logger is not None else server.logger
         self.watcher = BundleWatcher(bundles_root)
         self.swapper = ModelSwapper(
             server, metrics=self.metrics, logger=self.logger
@@ -128,12 +125,10 @@ class LifecycleManager:
             self.metrics.gauge("lifecycle.baseline_mrr").set(
                 self.baseline_mrr
             )
-        server.telemetry.add_status_provider(self.status)
+        server.add_status_provider(self.status)
         # Request traces stamp the lifecycle state (swap-in-progress) so
         # a tail spike is attributable to a promotion or rollback.
-        bind = getattr(server, "bind_lifecycle", None)
-        if bind is not None:
-            bind(lambda: self.state)
+        server.bind_lifecycle(lambda: self.state)
 
     # -------------------------------------------------------------- lifecycle
 
@@ -314,10 +309,10 @@ class LifecycleManager:
     def status(self) -> dict:
         """Status-provider payload merged into ``/varz`` and ``/healthz``.
 
-        Includes the server's SLO evaluation (when it runs one) so an
-        operator reading the lifecycle state also sees whether the
-        active generation is burning error budget — the pair of facts a
-        promote/rollback decision actually needs.
+        Includes the server's SLO evaluation so an operator reading the
+        lifecycle state also sees whether the active generation is
+        burning error budget — the pair of facts a promote/rollback
+        decision actually needs.
         """
         payload = {
             "lifecycle": {
@@ -332,8 +327,6 @@ class LifecycleManager:
                 "last_decision": self.last_decision,
             }
         }
-        slo_engine = getattr(self.server, "slo_engine", None)
-        if slo_engine is not None:
-            evaluation = slo_engine.evaluate()
-            payload["lifecycle"]["slo_status"] = evaluation["status"]
+        evaluation = self.server.slo_engine.evaluate()
+        payload["lifecycle"]["slo_status"] = evaluation["status"]
         return payload

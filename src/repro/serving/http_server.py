@@ -1,10 +1,10 @@
 """``repro serve``: the HTTP/JSON query-serving daemon.
 
 :class:`QueryServer` exposes a fitted model — typically a read-only
-``load_bundle(mmap=True)`` bundle — over a stdlib
-:class:`~http.server.ThreadingHTTPServer` (the same idiom as
-:class:`~repro.utils.telemetry_server.TelemetryServer`, which it embeds
-for its observability surface):
+``load_bundle(mmap=True)`` bundle — over HTTP.  It *is* a
+:class:`~repro.utils.telemetry_server.TelemetryServer`: one socket, one
+serve thread and one start/stop lifecycle carry both surfaces, and its
+request handler is the telemetry handler plus ``do_POST``:
 
 * ``POST /v1/predict`` — cross-modal candidate ranking: a JSON body with
   ``target``, ``candidates`` and at least one of ``time`` / ``location``
@@ -13,42 +13,39 @@ for its observability surface):
 * ``POST /v1/neighbors`` — per-modality nearest-neighbor search around a
   composed query vector;
 * ``GET /metrics`` / ``/healthz`` / ``/varz`` / ``/debug/requests`` —
-  the live telemetry endpoints, rendered by the embedded
-  :class:`~repro.utils.telemetry_server.TelemetryServer` on *this*
-  socket (no second port): the request handler is the telemetry
-  server's GET handler plus ``do_POST``.
+  the live telemetry endpoints, inherited from the telemetry server.
 
 Every request is traced (``trace_requests=True``): an id from the
 inbound ``X-Request-Id`` header (or freshly generated) is echoed back in
 the response headers, the request's stage timings — validation, batcher
 queue wait, engine snap/gather/score, ANN probe, fan-back — land in a
 bounded :class:`~repro.serving.reqtrace.TraceRing` served at
-``/debug/requests``, and each entry links to the coalesced batch span it
-rode plus the lifecycle epoch it executed against.  An
+``/debug/requests``, and each entry links to the batch span it rode plus
+the lifecycle epoch it executed against.  An
 :class:`~repro.utils.slo.SLOEngine` evaluates availability and latency
 burn rates on every health scrape.
 
-Concurrent single-query requests are coalesced: handler threads park in
-the :class:`~repro.serving.batcher.RequestBatcher` and execute as one
-vectorized :class:`~repro.serving.service.QueryService` dispatch, with
-exact parity to per-request execution.  A request that finds the batcher
-idle dispatches at once; requests that arrive during a dispatch linger
-for up to ``batch_window_ms`` to share the next one.  Malformed bodies
-are *client* errors: they return structured 400 payloads and count under
-``serve.bad_requests`` rather than killing the handler thread with a 500.
+Every request rides the :class:`~repro.serving.batcher.RequestBatcher`:
+handler threads park in it and execute as one vectorized
+:class:`~repro.serving.service.QueryService` dispatch, with exact parity
+to per-request execution.  A request that finds the batcher idle
+dispatches at once; requests that arrive during a dispatch linger for up
+to ``batch_window_ms`` to share the next one (``max_batch=1`` gives one
+engine call per request).  Malformed bodies — including non-finite
+numbers and nesting too deep to parse — are *client* errors: they return
+structured 400 payloads and count under ``serve.bad_requests`` rather
+than killing the handler thread or failing a whole batch with a 500.
 
 Shutdown drains: :meth:`QueryServer.stop` stops accepting new work (late
 requests get a 503), waits for in-flight handlers to finish, then drains
-and joins the batcher.
+and joins the batcher before the socket closes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 from repro.core.query_engine import QueryEngine
 from repro.serving.batcher import BatcherClosed, RequestBatcher
@@ -60,7 +57,6 @@ from repro.serving.reqtrace import (
     request_id_from_header,
 )
 from repro.serving.service import BadRequest, QueryService
-from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.slo import (
     SLObjective,
@@ -68,11 +64,7 @@ from repro.utils.slo import (
     availability_source,
     latency_source,
 )
-from repro.utils.telemetry_server import (
-    SHUTDOWN_POLL_SECONDS,
-    TelemetryHandler,
-    TelemetryServer,
-)
+from repro.utils.telemetry_server import TelemetryHandler, TelemetryServer
 from repro.utils.tracing import collect_stages, stage
 
 __all__ = ["QueryServer"]
@@ -80,24 +72,10 @@ __all__ = ["QueryServer"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-class _QueryHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer with a backlog sized for client bursts.
-
-    The stdlib default ``request_queue_size`` of 5 drops connections
-    (ECONNRESET on the client) the moment a coalescing-friendly burst of
-    concurrent clients connects at once.
-    """
-
-    daemon_threads = True
-    request_queue_size = 128
-
-
 class _ServeHandler(TelemetryHandler):
     """The observability GET handler plus the query endpoints."""
 
-    # Built once per QueryServer via type(); the server injects itself
-    # and its embedded telemetry renderer.
-    server_ref: "QueryServer"
+    owner: "QueryServer"
     protocol_version = "HTTP/1.1"
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
@@ -114,7 +92,7 @@ class _ServeHandler(TelemetryHandler):
         ``serve.request_seconds`` histogram the latency SLO reads).
         """
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        server = self.server_ref
+        server = self.owner
         if path not in ("/v1/predict", "/v1/neighbors"):
             self._respond_json(404, {"error": f"no such endpoint: {path}"})
             return
@@ -152,7 +130,7 @@ class _ServeHandler(TelemetryHandler):
         self, path: str, ctx: RequestContext | None
     ) -> tuple[int, dict]:
         """Validate, dispatch and shape one query request."""
-        server = self.server_ref
+        server = self.owner
         metrics = server.metrics
         validate = stage("serve.validate")
         try:
@@ -184,7 +162,7 @@ class _ServeHandler(TelemetryHandler):
                 error=f"{type(exc).__name__}: {exc}",
             )
             return 500, {"error": "internal server error"}
-        server.telemetry.heartbeat()
+        server.heartbeat()
         return 200, result
 
     def _read_json_body(self):
@@ -202,11 +180,13 @@ class _ServeHandler(TelemetryHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also bad UTF-8 and over-long integers
             raise BadRequest(f"request body is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise BadRequest("request body is nested too deeply") from None
 
 
-class QueryServer:
+class QueryServer(TelemetryServer):
     """Serve cross-modal queries over HTTP with request coalescing.
 
     Parameters
@@ -226,10 +206,6 @@ class QueryServer:
         How long requests that queued while a dispatch was running
         linger for co-travellers before their batch dispatches.  A
         request that finds the batcher idle dispatches at once.
-    coalesce:
-        ``False`` disables the batcher entirely — every request becomes
-        its own engine call (the naive path the latency bench compares
-        against).
     ann:
         ``True`` serves ``/v1/neighbors`` from per-modality IVF indexes
         (:class:`~repro.ann.engine.IndexedQueryEngine`) built eagerly at
@@ -257,18 +233,21 @@ class QueryServer:
     slow_request_ms:
         Advisory slow threshold stamped on ``/debug/requests`` payloads
         (``repro tail`` uses it to label exemplars).
-    slo:
-        ``True`` (default) attaches an :class:`~repro.utils.slo
-        .SLOEngine` with an availability and a latency objective,
-        evaluated on every ``/healthz`` / ``/varz`` scrape and exported
-        as ``slo.*`` metrics.
     slo_availability_target:
-        Required non-5xx fraction (default 99.9%).
+        Required non-5xx fraction (default 99.9%) of the
+        :class:`~repro.utils.slo.SLOEngine` evaluated on every
+        ``/healthz`` / ``/varz`` scrape and exported as ``slo.*``
+        metrics.
     slo_latency_target / slo_latency_threshold_ms:
         Required fraction of requests (default 99%) served within the
         threshold (default 250ms), read from the ``serve.request_seconds``
         log-spaced histogram.
     """
+
+    handler_class = _ServeHandler
+    thread_name = "repro-query-server"
+    started_event = "serve.started"
+    stopped_event = "serve.stopped"
 
     def __init__(
         self,
@@ -278,7 +257,6 @@ class QueryServer:
         host: str = "127.0.0.1",
         max_batch: int = 64,
         batch_window_ms: float = 2.0,
-        coalesce: bool = True,
         ann: bool = False,
         ann_nlist: int = 256,
         ann_nprobe: int = 8,
@@ -288,76 +266,61 @@ class QueryServer:
         trace_requests: bool = True,
         trace_ring_size: int = 256,
         slow_request_ms: float = 100.0,
-        slo: bool = True,
         slo_availability_target: float = 0.999,
         slo_latency_target: float = 0.99,
         slo_latency_threshold_ms: float = 250.0,
     ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.logger = logger if logger is not None else NULL_LOGGER
+        super().__init__(
+            metrics if metrics is not None else MetricsRegistry(),
+            port=port,
+            host=host,
+            logger=logger,
+            stale_after=stale_after,
+            trace_ring=(
+                TraceRing(int(trace_ring_size), slow_ms=float(slow_request_ms))
+                if trace_requests
+                else None
+            ),
+        )
         self.ann = bool(ann)
         self.ann_nlist = int(ann_nlist)
         self.ann_nprobe = int(ann_nprobe)
         self.model = model
-        engine = self.build_engine(model)
+        self.engine = self.build_engine(model)
         if self.ann:
             self.metrics.gauge("ann.nlist").set(ann_nlist)
             self.metrics.gauge("ann.nprobe").set(ann_nprobe)
-        self.engine = engine
         self.service = QueryService(
-            model, engine=engine, metrics=self.metrics, logger=self.logger
+            model, engine=self.engine, metrics=self.metrics, logger=self.logger
         )
-        self.coalesce = bool(coalesce)
         self.max_batch = int(max_batch)
         self.batch_window_ms = float(batch_window_ms)
         self.batcher: RequestBatcher | None = None
-        self.trace_ring = (
-            TraceRing(int(trace_ring_size), slow_ms=float(slow_request_ms))
-            if trace_requests
-            else None
+        self.slo_engine = SLOEngine(self.metrics)
+        self.slo_engine.add_objective(
+            SLObjective(
+                "availability",
+                target=slo_availability_target,
+                description="non-5xx fraction of admitted requests",
+            ),
+            availability_source(self.metrics),
         )
-        self.slo_engine: SLOEngine | None = None
-        if slo:
-            self.slo_engine = SLOEngine(self.metrics)
-            self.slo_engine.add_objective(
-                SLObjective(
-                    "availability",
-                    target=slo_availability_target,
-                    description="non-5xx fraction of admitted requests",
+        threshold = float(slo_latency_threshold_ms) / 1e3
+        self.slo_engine.add_objective(
+            SLObjective(
+                "latency",
+                target=slo_latency_target,
+                threshold=threshold,
+                description=(
+                    f"requests served within {slo_latency_threshold_ms:g}ms"
                 ),
-                availability_source(self.metrics),
-            )
-            threshold = float(slo_latency_threshold_ms) / 1e3
-            self.slo_engine.add_objective(
-                SLObjective(
-                    "latency",
-                    target=slo_latency_target,
-                    threshold=threshold,
-                    description=(
-                        f"requests served within "
-                        f"{slo_latency_threshold_ms:g}ms"
-                    ),
-                ),
-                latency_source(self.metrics, threshold=threshold),
-            )
+            ),
+            latency_source(self.metrics, threshold=threshold),
+        )
         self.active_epoch = 0
         self._lifecycle_state = None
-        self._direct_ids = itertools.count(1)
-        self.telemetry = TelemetryServer(
-            self.metrics,
-            host=host,
-            slow_queries=engine.slow_queries,
-            logger=logger,
-            stale_after=stale_after,
-            trace_ring=self.trace_ring,
-        )
-        self.telemetry.add_status_provider(self._serving_status)
-        if self.slo_engine is not None:
-            self.telemetry.add_status_provider(self.slo_engine.status)
-        self.requested_port = int(port)
-        self.host = host
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self.add_status_provider(self._serving_status)
+        self.add_status_provider(self.slo_engine.status)
         self._accepting = False
         self._inflight = 0
         self._inflight_cond = threading.Condition()
@@ -365,44 +328,29 @@ class QueryServer:
     # ------------------------------------------------------------- lifecycle
 
     def start(self) -> "QueryServer":
-        """Bind the socket, start the batcher, serve from a daemon thread."""
-        if self._httpd is not None:
-            raise RuntimeError("query server already started")
-        if self.coalesce:
-            # The batcher gets the trampoline, not a bound dispatch:
-            # reading self.service per batch is what lets swap_model
-            # retarget in-flight coalescing without restarting it.
-            self.batcher = RequestBatcher(
-                self._dispatch_batch,
-                max_batch=self.max_batch,
-                max_wait_ms=self.batch_window_ms,
-                metrics=self.metrics,
-            )
+        """Warm the engine and open the batcher, then bind and serve.
+
+        Both happen before the socket exists, so no request can find
+        the server half started.
+        """
+        if self.running:
+            raise RuntimeError("QueryServer already started")
         self.warm_engine(self.engine)
-        handler = type(
-            "BoundServeHandler",
-            (_ServeHandler,),
-            {"server_ref": self, "telemetry": self.telemetry},
-        )
-        self._httpd = _QueryHTTPServer(
-            (self.host, self.requested_port), handler
+        # The batcher gets the trampoline, not a bound dispatch: reading
+        # self.service per batch is what lets swap_model retarget
+        # in-flight coalescing without restarting it.
+        self.batcher = RequestBatcher(
+            self._dispatch_batch,
+            max_batch=self.max_batch,
+            max_wait_ms=self.batch_window_ms,
+            metrics=self.metrics,
         )
         self._accepting = True
-        self.telemetry.mark_started()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
-            name="repro-query-server",
-            daemon=True,
-        )
-        self._thread.start()
-        self.logger.info(
-            "serve.started",
-            host=self.host,
-            port=self.port,
-            coalesce=self.coalesce,
-        )
-        return self
+        try:
+            return super().start()
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self, *, drain_timeout: float = 10.0) -> None:
         """Graceful shutdown: refuse new work, drain in-flight, join.
@@ -411,8 +359,6 @@ class QueryServer:
         completion within ``drain_timeout`` seconds; requests arriving
         after the drain began receive a 503.  Idempotent.
         """
-        if self._httpd is None:
-            return
         self._accepting = False
         with self._inflight_cond:
             self._inflight_cond.wait_for(
@@ -421,43 +367,12 @@ class QueryServer:
         if self.batcher is not None:
             self.batcher.close(timeout=drain_timeout)
             self.batcher = None
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._httpd = None
-        self._thread = None
-        self.logger.info("serve.stopped")
-
-    def __enter__(self) -> "QueryServer":
-        """Context-manager entry: :meth:`start`."""
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: :meth:`stop` (drains in-flight work)."""
-        self.stop()
-
-    @property
-    def running(self) -> bool:
-        """Whether the HTTP thread is currently serving."""
-        return self._httpd is not None
+        super().stop()
 
     @property
     def accepting(self) -> bool:
         """Whether new query requests are admitted (False while draining)."""
         return self._accepting
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (resolves ephemeral ``port=0`` bindings)."""
-        if self._httpd is None:
-            return self.requested_port
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL of the running server."""
-        return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------ generations
 
@@ -513,17 +428,16 @@ class QueryServer:
         """Atomically retarget serving onto a new model generation.
 
         The single ``self.service`` rebind is the linearization point:
-        the batcher trampoline and the direct path read it exactly once
-        per dispatch (atomic under the GIL), so every batch executes
-        entirely against one generation — no torn reads.  ``model`` /
-        ``engine`` attrs and the slow-query log follow for telemetry and
-        later swaps; requests already validated against the old service
-        dispatch fine on the new one (validation is model-independent).
+        the batcher trampoline reads it exactly once per dispatch (atomic
+        under the GIL), so every batch executes entirely against one
+        generation — no torn reads.  The ``model`` / ``engine`` attrs
+        follow for telemetry and later swaps; requests already validated
+        against the old service dispatch fine on the new one (validation
+        is model-independent).
         """
         self.service = service
         self.model = model
         self.engine = engine
-        self.telemetry.slow_queries = engine.slow_queries
         self.logger.info("serve.model_swapped")
 
     # ----------------------------------------------------------- request trace
@@ -654,22 +568,17 @@ class QueryServer:
             self.trace_ring.record_batch(entry)
 
     def execute(self, request, ctx=None) -> dict:
-        """Run one typed request through the coalesced (or direct) path.
+        """Run one typed request through the batcher; returns its body.
 
-        ``ctx`` (optional) is the request's trace context: the coalesced
-        path hands it to the batcher, the direct path stamps a
-        synthetic batch-of-one (``d<n>`` ids, zero queue wait) so trace
-        entries link to exactly one batch span either way.
+        ``ctx`` (optional) is the request's trace context, which the
+        batcher links to the batch span the request rides.  Raises
+        :class:`~repro.serving.batcher.BatcherClosed` unless the server
+        is running.
         """
         batcher = self.batcher
-        if batcher is not None:
-            return batcher.submit(request, ctx=ctx)
-        if ctx is not None and self.trace_ring is not None:
-            ctx.begin_batch(
-                f"d{next(self._direct_ids)}", 1, queue_wait=0.0
-            )
-            return self._traced_dispatch(self.service, [request], [ctx])[0]
-        return self.service.dispatch([request])[0]
+        if batcher is None:
+            raise BatcherClosed("query server is not running")
+        return batcher.submit(request, ctx=ctx)
 
     def _enter_request(self) -> None:
         """Count one handler thread into the in-flight drain barrier."""
@@ -690,7 +599,6 @@ class QueryServer:
             "serving": {
                 "accepting": self._accepting,
                 "inflight": self._inflight,
-                "coalesce": self.coalesce,
                 "ann": self.ann,
                 "batcher_depth": batcher.depth if batcher is not None else 0,
                 "trace_requests": ring is not None,

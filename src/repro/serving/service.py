@@ -20,6 +20,7 @@ coalescer and the ``bench_serve_latency`` gates both lean on this.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,6 +43,10 @@ NEIGHBOR_MODALITIES = ("word", "time", "location")
 
 _MAX_CANDIDATES = 4096
 _MAX_K = 1024
+# Largest accepted coordinate magnitude: beyond ~1e154 the squared
+# distance to every spatial hotspot overflows, and the snap then finds
+# no nearest hotspot at all.
+_MAX_COORDINATE = 1e150
 
 
 class BadRequest(ValueError):
@@ -124,14 +129,29 @@ def _require_dict(body) -> dict:
     return body
 
 
-def _number(value, field: str) -> float:
-    """Coerce a JSON number (bools are not numbers here)."""
+def _number(value, field: str, limit: float = math.inf) -> float:
+    """Coerce a finite JSON number of magnitude at most ``limit``.
+
+    Bools are not numbers here, and neither are NaN and ±Infinity
+    (which Python's JSON parser accepts) or integers too large for a
+    float.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequest(
             f"{field} must be a number, got {type(value).__name__}",
             field=field,
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadRequest(f"{field} must be a finite number", field=field)
+    if abs(number) > limit:
+        raise BadRequest(
+            f"{field} must be at most {limit:g} in magnitude", field=field
+        )
+    return number
 
 
 def _opt_time(body: dict) -> float | None:
@@ -149,7 +169,10 @@ def _opt_location(body: dict) -> tuple[float, float] | None:
         raise BadRequest(
             "location must be an [x, y] pair", field="location"
         )
-    return (_number(value[0], "location"), _number(value[1], "location"))
+    return (
+        _number(value[0], "location", _MAX_COORDINATE),
+        _number(value[1], "location", _MAX_COORDINATE),
+    )
 
 
 def _opt_words(body: dict, field: str = "words") -> tuple[str, ...] | None:
@@ -209,8 +232,8 @@ def _candidate(value, target: str):
                 field="candidates",
             )
         return (
-            _number(value[0], "candidates"),
-            _number(value[1], "candidates"),
+            _number(value[0], "candidates", _MAX_COORDINATE),
+            _number(value[1], "candidates", _MAX_COORDINATE),
         )
     return _number(value, "candidates")
 

@@ -329,19 +329,26 @@ class MetricsRegistry:
         }
 
     def render(self, *, title: str = "metrics") -> str:
-        """Aligned text table of every metric (CLI / bench output)."""
+        """Aligned text table of every metric (CLI / bench output).
+
+        Durations (``*_seconds`` histograms) print in milliseconds with
+        their total; every other histogram prints in its own unit.
+        """
         rows: list[tuple[str, str]] = []
         for name, counter in self.counters().items():
             rows.append((name, f"{counter.value:g}"))
         for name, gauge in self.gauges().items():
             rows.append((name, f"{gauge.value:g}"))
         for name, hist in self.histograms().items():
+            quantiles = (hist.p50, hist.p90, hist.p99)
+            if name.endswith("_seconds"):
+                p50, p90, p99 = (f"{q * 1e3:.2f}ms" for q in quantiles)
+                extra = f" total={hist.total * 1e3:.2f}ms"
+            else:
+                p50, p90, p99 = (f"{q:g}" for q in quantiles)
+                extra = ""
             rows.append(
-                (
-                    name,
-                    f"n={hist.count} p50={hist.p50 * 1e3:.2f}ms "
-                    f"p90={hist.p90 * 1e3:.2f}ms p99={hist.p99 * 1e3:.2f}ms",
-                )
+                (name, f"n={hist.count} p50={p50} p90={p90} p99={p99}{extra}")
             )
         if not rows:
             return f"{title}: (empty)"

@@ -21,6 +21,10 @@ Endpoints:
   ``snapshot()``, recent slow queries, recent log records, provider
   state.
 
+It is the package's one HTTP host: the query-serving daemon
+(:class:`~repro.serving.http_server.QueryServer`) subclasses it and its
+handler, adding the ``POST`` query endpoints.
+
 The server binds ``127.0.0.1`` by default and supports ``port=0`` for an
 ephemeral port (tests); the bound port is exposed as
 :attr:`TelemetryServer.port` after :meth:`start`.  Registry reads are safe
@@ -29,7 +33,7 @@ against concurrent metric creation because
 
 Usage::
 
-    server = TelemetryServer(metrics, tracer=tracer)
+    server = TelemetryServer(metrics, logger=logger)
     server.add_status_provider(watchdog.status)
     with server:                      # start() / stop()
         for batch in stream:
@@ -44,6 +48,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.telemetry import render_prometheus
 
@@ -57,25 +62,62 @@ _STATUS_RANK = {"ok": 0, "stale": 1, "alerting": 2}
 SHUTDOWN_POLL_SECONDS = 0.05
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The socket and handler threads behind one :class:`TelemetryServer`.
+
+    The backlog is sized for client bursts: the stdlib default
+    ``request_queue_size`` of 5 drops connections (ECONNRESET on the
+    client) the moment a burst of concurrent clients connects at once.
+    """
+
+    daemon_threads = True
+    request_queue_size = 128
+
+    def __init__(self, owner: "TelemetryServer") -> None:
+        self.owner = owner
+        super().__init__(
+            (owner.host, owner.requested_port), owner.handler_class
+        )
+
+
 class TelemetryHandler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`TelemetryServer`.
+    """Request handler serving the owning server's GET endpoints.
 
     The query-serving daemon's handler subclasses it, adding only its
     ``POST`` endpoints.
     """
 
-    # Built once per server via type(); the server injects its renderer.
-    telemetry: "TelemetryServer"
+    server: _HTTPServer
+
+    @property
+    def owner(self) -> "TelemetryServer":
+        """The :class:`TelemetryServer` this request was accepted by."""
+        return self.server.owner
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Route ``/metrics`` / ``/healthz`` / ``/varz``; 404 otherwise."""
+        """Route ``/metrics`` / ``/healthz`` / ``/varz``; 404 otherwise.
+
+        ``/debug/requests`` is routed too when a trace ring is attached.
+        """
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        rendered = self.telemetry.respond_get(path)
-        if rendered is None:
-            self._respond_json(404, {"error": f"no such endpoint: {path}"})
+        owner = self.owner
+        if path == "/metrics":
+            body = owner.render_metrics().encode("utf-8")
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+            self._respond(200, body, content_type)
             return
-        status, body, content_type = rendered
-        self._respond(status, body, content_type)
+        status = 200
+        if path == "/healthz":
+            payload = owner.health()
+            if payload["status"] != "ok":
+                status = 503
+        elif path == "/varz":
+            payload = owner.varz()
+        elif path == "/debug/requests" and owner.trace_ring is not None:
+            payload = owner.trace_ring.snapshot()
+        else:
+            status, payload = 404, {"error": f"no such endpoint: {path}"}
+        self._respond_json(status, payload)
 
     def _respond(
         self,
@@ -105,9 +147,7 @@ class TelemetryHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Route access logs to the structured logger instead of stderr."""
-        logger = self.telemetry.logger
-        if logger is not None:
-            logger.debug("telemetry.request", detail=format % args)
+        self.owner.logger.debug("telemetry.request", detail=format % args)
 
 
 class TelemetryServer:
@@ -115,7 +155,7 @@ class TelemetryServer:
 
     Parameters
     ----------
-    registry:
+    metrics:
         The live :class:`~repro.utils.metrics.MetricsRegistry` to render on
         every ``/metrics`` scrape.
     port:
@@ -135,9 +175,6 @@ class TelemetryServer:
     stale_after:
         Heartbeat age in seconds beyond which ``/healthz`` degrades to
         ``"stale"`` (HTTP 503); ``None`` disables staleness checking.
-    namespace:
-        Prometheus metric namespace (see
-        :func:`~repro.utils.telemetry.prometheus_name`).
     trace_ring:
         Optional :class:`~repro.serving.reqtrace.TraceRing`; when set, a
         fourth endpoint ``GET /debug/requests`` serves its snapshot —
@@ -145,30 +182,35 @@ class TelemetryServer:
         breakdowns plus the batch spans they link to.
     """
 
+    #: Handler class the socket serves with; subclasses add routes.
+    handler_class: type[TelemetryHandler] = TelemetryHandler
+    #: Name of the serve thread and the log events around its life.
+    thread_name = "repro-telemetry-server"
+    started_event = "telemetry.server_started"
+    stopped_event = "telemetry.server_stopped"
+
     def __init__(
         self,
-        registry: MetricsRegistry,
+        metrics: MetricsRegistry,
         *,
         port: int = 0,
         host: str = "127.0.0.1",
         slow_queries=None,
         logger=None,
         stale_after: float | None = None,
-        namespace: str = "repro",
         trace_ring=None,
     ) -> None:
         if stale_after is not None and stale_after <= 0:
             raise ValueError(f"stale_after must be > 0, got {stale_after}")
-        self.registry = registry
+        self.metrics = metrics
         self.requested_port = int(port)
         self.host = host
         self.slow_queries = slow_queries
-        self.logger = logger
+        self.logger = logger if logger is not None else NULL_LOGGER
         self.stale_after = stale_after
-        self.namespace = namespace
         self.trace_ring = trace_ring
         self._status_providers: list = []
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _HTTPServer | None = None
         self._thread: threading.Thread | None = None
         self._started_monotonic: float | None = None
         self._started_wall: float | None = None
@@ -180,24 +222,18 @@ class TelemetryServer:
     def start(self) -> "TelemetryServer":
         """Bind the socket and serve from a daemon thread; returns self."""
         if self._httpd is not None:
-            raise RuntimeError("telemetry server already started")
-        handler = type("BoundHandler", (TelemetryHandler,), {"telemetry": self})
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self.requested_port), handler
-        )
-        self._httpd.daemon_threads = True
-        self.mark_started()
+            raise RuntimeError(f"{type(self).__name__} already started")
+        self._httpd = _HTTPServer(self)
+        self._started_monotonic = time.monotonic()
+        self._started_wall = time.time()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
-            name="repro-telemetry-server",
+            name=self.thread_name,
             daemon=True,
         )
         self._thread.start()
-        if self.logger is not None:
-            self.logger.info(
-                "telemetry.server_started", host=self.host, port=self.port
-            )
+        self.logger.info(self.started_event, host=self.host, port=self.port)
         return self
 
     def stop(self) -> None:
@@ -206,12 +242,10 @@ class TelemetryServer:
             return
         self._httpd.shutdown()
         self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._thread.join(timeout=5.0)
         self._httpd = None
         self._thread = None
-        if self.logger is not None:
-            self.logger.info("telemetry.server_stopped")
+        self.logger.info(self.stopped_event)
 
     def __enter__(self) -> "TelemetryServer":
         """Context-manager entry: :meth:`start`."""
@@ -237,17 +271,6 @@ class TelemetryServer:
     def url(self) -> str:
         """Base URL of the running server."""
         return f"http://{self.host}:{self.port}"
-
-    def mark_started(self) -> None:
-        """Stamp the uptime/started clocks without binding a socket.
-
-        :meth:`start` calls this; embedding hosts (the query-serving
-        daemon routes its ``GET`` endpoints through :meth:`respond_get`
-        on its own socket) call it directly so ``/healthz`` uptime tracks
-        *their* start instead of staying at zero.
-        """
-        self._started_monotonic = time.monotonic()
-        self._started_wall = time.time()
 
     # ------------------------------------------------------------- liveness
 
@@ -287,47 +310,8 @@ class TelemetryServer:
         a line feed even when there are no samples yet.
         """
         self.scrapes += 1
-        rendered = render_prometheus(self.registry, namespace=self.namespace)
+        rendered = render_prometheus(self.metrics)
         return rendered if rendered.endswith("\n") else rendered + "\n"
-
-    def respond_get(self, path: str) -> tuple[int, bytes, str] | None:
-        """Render one observability GET endpoint for an HTTP handler.
-
-        ``path`` must already be query-string-stripped and
-        trailing-slash-normalized.  Returns ``(status, body,
-        content_type)`` for ``/metrics`` / ``/healthz`` / ``/varz`` and
-        ``None`` for any other path — the seam that lets other HTTP
-        servers (the query-serving daemon) mount the same endpoints on
-        their own socket instead of running a second server.
-        """
-        if path == "/metrics":
-            return (
-                200,
-                self.render_metrics().encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        if path == "/healthz":
-            payload = self.health()
-            status = 200 if payload["status"] == "ok" else 503
-            return (
-                status,
-                json.dumps(payload, sort_keys=True).encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-        if path == "/varz":
-            return (
-                200,
-                json.dumps(self.varz(), sort_keys=True).encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-        if path == "/debug/requests" and self.trace_ring is not None:
-            payload = self.trace_ring.snapshot()
-            return (
-                200,
-                json.dumps(payload, sort_keys=True).encode("utf-8"),
-                "application/json; charset=utf-8",
-            )
-        return None
 
     def _provider_state(self) -> tuple[str, dict]:
         """Collect provider dicts; returns (worst status, merged state)."""
@@ -377,18 +361,13 @@ class TelemetryServer:
         payload = {
             "uptime_seconds": round(self.uptime(), 3),
             "heartbeat_age_seconds": self.heartbeat_age(),
-            "metrics": self.registry.snapshot(),
+            "metrics": self.metrics.snapshot(),
             "slow_queries": (
                 list(self.slow_queries)
                 if self.slow_queries is not None
                 else []
             ),
-            "recent_logs": (
-                list(self.logger.recent)
-                if self.logger is not None
-                and hasattr(self.logger, "recent")
-                else []
-            ),
+            "recent_logs": list(getattr(self.logger, "recent", ())),
         }
         payload.update(merged)
         return payload

@@ -19,8 +19,11 @@ import urllib.request
 import pytest
 
 from repro.serving import QueryServer
+from repro.serving.batcher import BatcherClosed
 from repro.serving.service import QueryService
+from repro.utils.logging import StructuredLogger
 from repro.utils.metrics import MetricsRegistry
+from repro.utils.telemetry_server import TelemetryServer
 
 
 def _post(url: str, body, *, raw: bytes | None = None, timeout=30):
@@ -266,7 +269,6 @@ class TestTelemetrySurface:
         payload = json.loads(text)
         assert payload["status"] == "ok"
         assert payload["serving"]["accepting"] is True
-        assert payload["serving"]["coalesce"] is True
 
     def test_varz_includes_batcher_depth(self, server):
         status, text = _get(f"{server.url}/varz")
@@ -274,16 +276,57 @@ class TestTelemetrySurface:
         assert "batcher_depth" in json.loads(text)["serving"]
 
 
-class TestNonCoalescedPath:
-    def test_coalesce_false_serves_identically(self, tiny_actor):
-        direct = QueryService(tiny_actor, metrics=MetricsRegistry())
-        with QueryServer(tiny_actor, port=0, coalesce=False) as server:
-            for body in PREDICT_BODIES:
-                status, payload = _post(f"{server.url}/v1/predict", body)
-                assert status == 200
-                request = direct.validate_predict(body)
-                assert payload == direct.dispatch([request])[0]
-            assert server.batcher is None
+class TestOneHost:
+    """The query server is the telemetry server plus the query path."""
+
+    def test_is_a_telemetry_server(self, server):
+        assert isinstance(server, TelemetryServer)
+
+    def test_healthz_uptime_counts_from_start(self, tiny_actor):
+        with QueryServer(tiny_actor, port=0) as server:
+            time.sleep(0.01)
+            status, text = _get(f"{server.url}/healthz")
+        assert status == 200
+        assert json.loads(text)["uptime_seconds"] > 0
+
+    def test_execute_needs_a_running_server(self, tiny_actor):
+        server = QueryServer(tiny_actor, port=0)
+        request = server.service.validate_neighbors(NEIGHBOR_BODIES[0])
+        with pytest.raises(BatcherClosed):
+            server.execute(request)
+        with server:
+            want = server.service.dispatch([request])[0]
+            assert server.execute(request) == want
+        with pytest.raises(BatcherClosed):
+            server.execute(request)
+
+    def test_stop_is_idempotent_before_and_after_start(self, tiny_actor):
+        server = QueryServer(tiny_actor, port=0)
+        server.stop()
+        server.start()
+        server.stop()
+        server.stop()
+        assert not server.running
+        assert server.batcher is None
+
+    def test_failed_bind_leaves_nothing_running(self, server, tiny_actor):
+        other = QueryServer(tiny_actor, port=server.port)
+        with pytest.raises(OSError):
+            other.start()
+        assert not other.running
+        assert not other.accepting
+        assert other.batcher is None
+
+    def test_lifecycle_log_events(self, tiny_actor):
+        logger = StructuredLogger()
+        with QueryServer(tiny_actor, port=0, logger=logger) as server:
+            port = server.port
+        events = [r for r in logger.recent if r["event"].startswith("serve.")]
+        assert [r["event"] for r in events] == [
+            "serve.started",
+            "serve.stopped",
+        ]
+        assert events[0]["port"] == port
 
 
 class TestDrain:

@@ -328,21 +328,6 @@ class TestTracePropagation:
         assert echoed != "two words here"
         assert len(echoed) == 16
 
-    def test_non_coalesced_path_traces_direct_batches(self, tiny_actor):
-        with QueryServer(tiny_actor, port=0, coalesce=False) as server:
-            status, _payload, headers = _post(
-                f"{server.url}/v1/neighbors",
-                NEIGHBORS_BODY,
-                headers={"X-Request-Id": "direct-1"},
-            )
-            assert status == 200
-            entry = {e["id"]: e for e in server.trace_ring.entries()}[
-                "direct-1"
-            ]
-        assert headers.get("X-Request-Id") == "direct-1"
-        assert entry["batch"]["id"].startswith("d")
-        assert entry["batch"]["size"] == 1
-
     def test_debug_requests_endpoint(self, tiny_actor):
         with QueryServer(tiny_actor, port=0) as server:
             for i in range(3):

@@ -119,6 +119,29 @@ class TestMetricsRegistry:
         assert "loss" in table
         assert "fit_seconds" in table
 
+    def test_render_keeps_each_histogram_in_its_unit(self):
+        registry = MetricsRegistry()
+        batch = registry.histogram("serve.batch_size", bounds=(1, 2, 4, 8))
+        for _ in range(3):
+            batch.observe(3)
+        registry.histogram("buffer.occupancy_ratio").observe(0.017)
+        fit = registry.histogram("fit.train_seconds")
+        fit.observe(0.25)
+        fit.observe(0.5)
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in registry.render().splitlines()[2:]
+        }
+        assert rows["serve.batch_size"] == ["n=3", "p50=3", "p90=3", "p99=3"]
+        assert rows["buffer.occupancy_ratio"] == [
+            "n=1", "p50=0.017", "p90=0.017", "p99=0.017",
+        ]
+        assert rows["fit.train_seconds"][0] == "n=2"
+        assert rows["fit.train_seconds"][-1] == "total=750.00ms"
+        assert all(
+            value.endswith("ms") for value in rows["fit.train_seconds"][1:]
+        )
+
     def test_render_empty(self):
         assert "(empty)" in MetricsRegistry().render()
 

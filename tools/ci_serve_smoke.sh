@@ -3,8 +3,10 @@
 # launch `repro serve --mmap` against it, fire a `repro loadgen` burst of
 # mixed predict/neighbor traffic, and assert zero 5xx responses plus a
 # well-formed /healthz.  Sequential requests to the then idle server must
-# skip the batch window (X-Queue-Wait-Ms under the 2 ms default), and the
-# /metrics exposition must name each family once.  Then
+# skip the batch window (X-Queue-Wait-Ms under the 2 ms default), hostile
+# bodies (a NaN location, a 100k-deep array) must get structured 400s
+# without counting a server error, and the /metrics exposition must name
+# each family once.  Then
 # run the serve latency bench at smoke scale
 # (tiny model, permissive speed gates — the acceptance thresholds apply
 # at the default benchmark scale on quiet hardware) and upload its
@@ -77,6 +79,21 @@ if [ "$BAD_STATUS" != 400 ]; then
 fi
 grep -qi '^X-Request-Id: smoke-bad-1' "$WORK/bad_headers.txt"
 
+# Hostile bodies are client errors too: a non-finite number and nesting
+# too deep to parse each get a 400, not a 500 or a dropped connection.
+printf '{"modality": "word", "location": [NaN, 1.0]}' >"$WORK/nan.json"
+python -c 'import sys; sys.stdout.write("[" * 100000 + "]" * 100000)' \
+  >"$WORK/deep.json"
+for body in nan deep; do
+  STATUS=$(curl -s -o "$WORK/${body}_response.json" -w '%{http_code}' \
+    -X POST "$BASE/v1/neighbors" -H 'Content-Type: application/json' \
+    --data-binary "@$WORK/${body}.json")
+  if [ "$STATUS" != 400 ]; then
+    echo "FAIL: $body body returned HTTP $STATUS, wanted 400" >&2
+    exit 1
+  fi
+done
+
 # Mid-load observability scrape: the trace ring must hold well-formed
 # attribution entries for the traffic we just sent.
 curl -sf "$BASE/debug/requests" -o "$WORK/debug_requests.json"
@@ -88,6 +105,14 @@ grep -q 'repro_serve_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_bad_requests_total' "$WORK/metrics.prom"
 grep -q 'repro_serve_responses_total' "$WORK/metrics.prom"
 grep -q 'repro_slo_availability_compliance' "$WORK/metrics.prom"
+# No request of this run, hostile ones included, counts as a server
+# error: repro_serve_errors_total is absent or 0.
+if awk '$1 == "repro_serve_errors_total" && $2 + 0 != 0 {bad = 1}
+        END {exit !bad}' "$WORK/metrics.prom"; then
+  grep '^repro_serve_errors_total' "$WORK/metrics.prom" >&2
+  echo "FAIL: /metrics counts server errors" >&2
+  exit 1
+fi
 # The exposition format allows one TYPE line per family: a repeated name
 # means two metric kinds (or two clock readings) report one stage.
 DUPES=$(grep '^# TYPE' "$WORK/metrics.prom" | awk '{print $3}' | sort | uniq -d)
@@ -116,7 +141,7 @@ assert report["p99_ms"] > 0, report
 health = json.loads((work / "healthz.json").read_text())
 assert health["status"] == "ok", health
 assert health["serving"]["accepting"] is True, health
-assert health["serving"]["coalesce"] is True, health
+assert health["uptime_seconds"] > 0, health
 assert health["serving"]["trace_requests"] is True, health
 assert "availability" in health["slo"], health
 assert "latency" in health["slo"], health
