@@ -9,8 +9,8 @@ serving-realistic size, then measures
   deserialize-everything read); the acceptance gate is mmap >= 5x faster
   than pickle;
 * **query throughput per backend** — the same batched query set served
-  from ``dense``, ``shared`` and ``mmap`` stores, with exact rank parity
-  asserted across all three (a backend is only interchangeable if the
+  from the ``dense`` and ``mmap`` stores, with exact rank parity
+  asserted between them (a backend is only interchangeable if the
   answers are bit-identical).
 
 Emits ``BENCH_store_backends.json``.  Run standalone::
@@ -37,7 +37,6 @@ import numpy as np
 from repro import Actor, ActorConfig, generate_dataset
 from repro.core import load_bundle, save_bundle
 from repro.eval import build_task_queries
-from repro.storage import SharedMemStore
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -147,11 +146,6 @@ def main(argv: list[str] | None = None) -> int:
         "dense": load_bundle(bundle_dir),
         "mmap": load_bundle(bundle_dir, mmap=True),
     }
-    shared_model = load_bundle(bundle_dir)
-    shared_model.adopt_store(
-        SharedMemStore(shared_model.center, shared_model.context)
-    )
-    served["shared"] = shared_model
 
     reference_ranks = None
     all_parity = True

@@ -5,15 +5,14 @@ Usage (also available as ``python -m repro``)::
     repro generate --preset utgeo2011 --n-records 5000 --out corpus.jsonl
     repro stats    --corpus corpus.jsonl
     repro train    --corpus corpus.jsonl --out model.pkl --dim 64 --epochs 20
-    repro train    --corpus corpus.jsonl --out model.pkl --store shared
+    repro train    --corpus corpus.jsonl --out model.pkl --threads 2  # Hogwild
     repro evaluate --model model.pkl --corpus test.jsonl
     repro evaluate --model bundle/ --corpus test.jsonl --mmap  # zero-copy load
     repro query    --model model.pkl --word harbor_00
     repro query    --model model.pkl --time 22.0
     repro query    --model model.pkl --location 3.5,7.2
     repro export   --model model.pkl --out bundle/   # pickle-free bundle
-    repro export   --model model.pkl --out bundle/ --shards 4 \
-                   --fleet-size 2                    # sharded v3 bundle
+    repro export   --model model.pkl --out bundle/ --shards 4  # v3 bundle
     repro serve    --model bundle/ --mmap            # any format, any K
     repro stream   --model model.pkl --corpus new.jsonl --metrics \
                    --checkpoint ckpt/               # online adaptation
@@ -140,21 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir", metavar="DIR",
         help="write Prometheus metrics + a JSONL span trace to DIR",
     )
-    train.add_argument(
-        "--store",
-        choices=["dense", "shared", "mmap"],
-        default="dense",
-        help="embedding storage backend: dense (in-RAM, default), shared "
-        "(POSIX shared memory; Hogwild threads train in place) or mmap "
-        "(memory-mapped .npy files)",
-    )
-    train.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="hash-partition the embedding store over K shards "
-        "(repro.sharding); training still updates the assembled global "
-        "matrices, so K sets the storage layout only (default: 1 = "
-        "unsharded)",
-    )
 
     ev = sub.add_parser(
         "evaluate", help="MRR over the three cross-modal prediction tasks"
@@ -222,12 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are hash-partitioned into K per-shard sidecars; it serves the "
         "same rankings as a v2 bundle (default: 1 = plain v2 bundle)",
     )
-    export.add_argument(
-        "--fleet-size", type=int, metavar="N",
-        help="number of serving replicas the bundle is destined for; "
-        "export refuses a --shards value that does not divide evenly "
-        "over the fleet (exit 2)",
-    )
 
     stream = sub.add_parser(
         "stream",
@@ -284,19 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stale-after", type=float, default=60.0, metavar="SECONDS",
         help="/healthz degrades to 'stale' when no batch completed for "
         "this long (default: 60; effective only with --serve-metrics)",
-    )
-    stream.add_argument(
-        "--store",
-        choices=["dense", "shared", "mmap"],
-        default="dense",
-        help="storage backend for the online embedding copies (shared "
-        "lets forked processes serve the live model while it streams)",
-    )
-    stream.add_argument(
-        "--shards", type=int, default=1, metavar="K",
-        help="hash-partition the online embedding store over K shards; "
-        "with --publish-bundles the published bundles are sharded to "
-        "match (format v3; default: 1 = unsharded)",
     )
     stream.add_argument(
         "--publish-bundles", metavar="DIR",
@@ -625,8 +590,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         use_inter=not args.no_inter,
         use_intra_bow=not args.no_intra_bow,
         seed=args.seed,
-        store_backend=args.store,
-        store_shards=args.shards,
     )
     telemetry_dir = getattr(args, "telemetry_dir", None)
     registry = (
@@ -678,10 +641,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return 2
     model = _load_model(args.model)
     try:
-        save_bundle(model, out, shards=args.shards, fleet_size=args.fleet_size)
+        save_bundle(model, out, shards=args.shards)
     except ValueError as exc:
-        # e.g. a --shards value that doesn't divide the serving fleet —
-        # an argument problem, so argparse's exit code, not a traceback.
+        # e.g. a non-positive --shards value — an argument problem, so
+        # argparse's exit code, not a traceback.
         print(str(exc), file=sys.stderr)
         return 2
     shard_note = f" ({args.shards} shards)" if args.shards > 1 else ""
@@ -814,8 +777,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             negatives=args.negatives,
             buffer_size=args.buffer_size,
             seed=args.seed,
-            store_backend=args.store,
-            store_shards=args.shards,
         )
     tracer = None
     logger = None
@@ -872,7 +833,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
         publisher = BundlePublisher(
             args.publish_bundles,
-            shards=args.shards,
             retain=args.publish_retain,
             metrics=model.metrics,
             logger=logger,

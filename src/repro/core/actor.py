@@ -38,7 +38,7 @@ from repro.data.text import Vocabulary
 from repro.embedding.line import LineEmbedding
 from repro.graphs.builder import GraphBuilder
 from repro.hotspots.detector import HotspotDetector
-from repro.storage import make_store
+from repro.storage import DenseStore
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.tracing import NULL_TRACER, stage
 
@@ -186,16 +186,13 @@ class Actor(GraphEmbeddingModel):
                     )
 
             # Install (or refresh) the embedding storage.  A refit reuses
-            # the existing store so its version counter keeps moving
+            # the existing dense store so its version counter keeps moving
             # monotonically — downstream caches can never mistake the new
-            # matrices for the old ones.
+            # matrices for the old ones.  A model loaded with a read-only
+            # store trains into a fresh DenseStore.
             store = self.__dict__.get("_store")
-            if store is None:
-                store = make_store(
-                    cfg.store_backend,
-                    directory=cfg.store_dir,
-                    n_shards=cfg.store_shards,
-                )
+            if not isinstance(store, DenseStore):
+                store = DenseStore()
                 self.adopt_store(store)
             store.set_matrix("center", center)
             store.set_matrix("context", context)

@@ -57,7 +57,7 @@ class ActorConfig:
     line_negatives:
         Negative samples for the LINE pretraining.
     n_threads:
-        Hogwild worker threads (Fig. 12b/c).
+        Hogwild worker processes (Fig. 12b/c).
     spatial_bandwidth / temporal_bandwidth / min_hotspot_support:
         Mean-shift hotspot detection knobs (Section 4.3).
     vocab_min_count / vocab_max_size:
@@ -72,19 +72,6 @@ class ActorConfig:
         Exponent of the negative-sampling noise distribution
         ``P(v) ∝ d_v^power`` (word2vec's 3/4; the noise-exponent ablation
         bench sweeps 0 / 0.75 / 1).
-    store_backend:
-        Embedding storage backend — ``"dense"`` (in-RAM, default),
-        ``"shared"`` (POSIX shared memory; Hogwild trains in place and
-        forked processes can serve the live model) or ``"mmap"``
-        (memory-mapped ``.npy`` files on disk).
-    store_dir:
-        Directory for the ``mmap`` backend's ``.npy`` files; ``None``
-        uses a private temp directory.  Only valid with
-        ``store_backend="mmap"``.
-    store_shards:
-        Hash-partition the embedding matrices over this many child
-        stores of ``store_backend`` (see :mod:`repro.sharding`); ``1``
-        (default) keeps the single-shard layout.
     seed:
         Master seed for every stochastic stage.
     """
@@ -111,9 +98,6 @@ class ActorConfig:
     mention_link_weight: float = 1.0
     init_noise: float = 0.02
     noise_power: float = 0.75
-    store_backend: str = "dense"
-    store_dir: str | None = None
-    store_shards: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -133,18 +117,6 @@ class ActorConfig:
             raise ValueError(
                 f"noise_power must be >= 0, got {self.noise_power}"
             )
-        valid_backends = ("dense", "shared", "mmap")
-        if self.store_backend not in valid_backends:
-            raise ValueError(
-                f"store_backend must be one of {valid_backends}, "
-                f"got {self.store_backend!r}"
-            )
-        if self.store_dir is not None and self.store_backend != "mmap":
-            raise ValueError(
-                "store_dir only applies to store_backend='mmap', "
-                f"got backend {self.store_backend!r}"
-            )
-        check_positive("store_shards", self.store_shards)
         if self.inter_edge_types is not None:
             valid = {"UT", "UW", "UL"}
             unknown = set(self.inter_edge_types) - valid

@@ -188,53 +188,22 @@ class QueryModel(GraphEmbeddingModel):
             self.context = context
 
 
-def check_shard_plan(
-    shards: int, fleet_size: int | None = None
-) -> int:
-    """Validate an export shard count against the serving fleet.
-
-    ``shards`` must be >= 1, and when ``fleet_size`` is given every
-    serving replica must own a whole number of shards — i.e.
-    ``fleet_size`` must divide ``shards`` evenly.  Raises ``ValueError``
-    with the constraint spelled out (the CLI surfaces it as an exit-2
-    argument error, not a traceback).  Returns the validated count.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if fleet_size is not None:
-        if fleet_size < 1:
-            raise ValueError(
-                f"fleet size must be >= 1, got {fleet_size}"
-            )
-        if shards % fleet_size != 0:
-            raise ValueError(
-                f"shards={shards} does not divide evenly over a serving "
-                f"fleet of {fleet_size} replicas: each replica must own a "
-                f"whole number of shards, so pick a shard count that is a "
-                f"multiple of {fleet_size} (e.g. "
-                f"{max(1, shards // fleet_size) * fleet_size} or "
-                f"{(shards // fleet_size + 1) * fleet_size})"
-            )
-    return int(shards)
-
-
 def save_bundle(
     model: Actor | QueryModel,
     directory: str | Path,
     *,
     shards: int = 1,
-    fleet_size: int | None = None,
 ) -> Path:
     """Write ``model``'s inference state to ``directory`` (created if needed).
 
     Embeddings go out as raw ``.npy`` sidecars (format v2) so the bundle
     can later be served zero-copy via ``load_bundle(..., mmap=True)``.
     With ``shards=K > 1`` the matrices are hash-partitioned into
-    ``shards/NN`` sidecar directories (format v3) for scatter-gather
-    serving; ``fleet_size`` additionally enforces that the shard count
-    divides the serving fleet evenly (see :func:`check_shard_plan`).
+    ``shards/NN`` sidecar directories (format v3).  Raises ``ValueError``
+    for ``shards < 1`` before anything is written.
     """
-    shards = check_shard_plan(shards, fleet_size)
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     # QueryModel and OnlineActor are fitted by construction; a bare Actor
     # must have been trained.
     if not getattr(model, "is_fitted", True):
@@ -366,7 +335,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
                         f"bundle at {directory} (format v3) is missing "
                         f"shard sidecar {sdir.name}/center.npy"
                     )
-                children.append(MmapStore.open(sdir, mode="r"))
+                children.append(MmapStore.open(sdir))
             else:
                 children.append(
                     DenseStore(
@@ -407,7 +376,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
                 f"bundle file {npz_path} is corrupt or truncated: {exc}"
             ) from exc
     elif mmap:
-        store = MmapStore.open(directory, mode="r")
+        store = MmapStore.open(directory)
         center = _load_array(
             directory / "center.npy", mmap=True, version=version,
             directory=directory,

@@ -62,7 +62,6 @@ from repro.embedding.alias import AliasTable
 from repro.embedding.edge_sampler import UniformNegativeSampler
 from repro.embedding.sgns import sgns_step
 from repro.graphs.types import NodeType
-from repro.storage import make_store
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.rng import ensure_rng
@@ -380,15 +379,6 @@ class OnlineActor(GraphEmbeddingModel):
         SGNS mini-batches run per :meth:`partial_fit` call.
     buffer_size:
         Recency-buffer capacity; oldest edges are evicted beyond it.
-    store_backend:
-        Embedding storage backend for the online copies — ``"dense"``
-        (default), ``"shared"`` (forked processes can serve the live
-        model while this one streams) or ``"mmap"``.
-    store_shards:
-        Hash-partition the online store over this many child backends
-        (see :mod:`repro.sharding`); streamed vertex growth lands each
-        new global row on its hash-owner shard, and the online SGNS
-        bursts keep sampling negatives from the full global row space.
     metrics:
         Optional shared :class:`~repro.utils.metrics.MetricsRegistry`; a
         private one is created when omitted.  See :attr:`metrics`.
@@ -414,8 +404,6 @@ class OnlineActor(GraphEmbeddingModel):
         negatives: int = 2,
         seed: int | np.random.Generator | None = 0,
         buffer_size: int = 200_000,
-        store_backend: str = "dense",
-        store_shards: int = 1,
         metrics: MetricsRegistry | None = None,
         tracer=None,
         logger=None,
@@ -426,8 +414,7 @@ class OnlineActor(GraphEmbeddingModel):
         check_positive("steps_per_batch", steps_per_batch)
         self.built = base.built
         self.config = base.config
-        self.adopt_store(make_store(store_backend, n_shards=store_shards))
-        self.center = np.array(base.center)      # private copies
+        self.center = np.array(base.center)      # private DenseStore copies
         self.context = np.array(base.context)
         self.buffer = RecencyBuffer(half_life=half_life, max_size=buffer_size)
         self.online_lr = float(online_lr)

@@ -34,7 +34,7 @@ from repro.embedding.sgns import sgns_step, sgns_step_bow
 from repro.graphs.activity_graph import ActivityGraph
 from repro.graphs.builder import BuiltGraphs, RecordUnits
 from repro.graphs.types import EdgeType, NodeType
-from repro.storage import DenseStore, EmbeddingStore, SharedMemStore
+from repro.storage import DenseStore, EmbeddingStore, SharedMatrix
 from repro.utils.logging import NULL_LOGGER
 from repro.utils.rng import ensure_rng, spawn_rng
 from repro.utils.tracing import NULL_TRACER, stage
@@ -252,11 +252,10 @@ class ActorTrainer:
         arrays, so callers holding the originals see the updates exactly
         as before).
     store:
-        An :class:`~repro.storage.base.EmbeddingStore` already holding
+        A writable :class:`~repro.storage.base.EmbeddingStore` (the
+        model's :class:`~repro.storage.dense.DenseStore`) already holding
         both matrices — the trainer updates it in place and bumps its
-        version when training finishes.  A ``shared`` store lets the
-        Hogwild pool scatter-add straight into the store's own segments
-        (no copy-in/copy-out).
+        version when training finishes.
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; when given,
         the trainer records per-epoch loss and wall-clock
@@ -477,44 +476,89 @@ class ActorTrainer:
     ) -> "ActorTrainer":
         """Run the full alternating training loop (in place).
 
-        With ``config.n_threads > 1`` (and a fork-capable platform) the
-        embedding matrices are moved into shared memory and every epoch's
-        mini-batches are executed by a lock-free process pool — the
-        paper's asynchronous SGD (Section 5.2.3).  Otherwise the loop runs
-        single-process and fully deterministically.
+        With ``config.n_threads > 1`` (and a fork-capable platform) every
+        task's mini-batches are executed by a lock-free process pool over
+        shared-memory copies of the matrices — the paper's asynchronous
+        SGD (Section 5.2.3).  Otherwise the loop runs single-process and
+        fully deterministically.
         """
         cfg = self.config
         rng = ensure_rng(cfg.seed if seed is None else seed)
+        batches = self.batches_per_epoch()
         if cfg.n_threads > 1 and fork_available():
-            self._train_parallel(rng)
+            self._train_parallel(rng, batches)
         else:
-            self._train_serial(rng)
+
+            def run(task_idx: int, lr: float) -> float:
+                task = self.tasks[task_idx]
+                loss = 0.0
+                for _ in range(batches):
+                    loss += task.step(
+                        self.center, self.context, cfg.batch_size, lr, rng
+                    )
+                return loss
+
+            self._epochs(run, batches)
         # The SGD kernels wrote through raw views; one version bump tells
         # every store-keyed cache (query engine modality matrices, the
         # normalized view) that the embeddings moved.
         self.store.bump()
         return self
 
-    def _train_serial(self, rng: np.random.Generator) -> None:
+    def _train_parallel(self, rng: np.random.Generator, batches: int) -> None:
+        """Train with a :class:`HogwildPool` over staged shared memory.
+
+        The forked workers update the same pages in place, so both
+        matrices are copied into private :class:`SharedMatrix` segments
+        for the pool's lifetime; the result is copied back into the
+        store's own arrays and the segments are unlinked.
+        """
         cfg = self.config
-        batches = self.batches_per_epoch()
+        pool_seed = spawn_rng(rng, 1)[0]
+        with (
+            SharedMatrix(self.center) as center,
+            SharedMatrix(self.context) as context,
+            HogwildPool(
+                self.tasks,
+                center.array,
+                context.array,
+                cfg.batch_size,
+                cfg.n_threads,
+                seed=pool_seed,
+            ) as pool,
+        ):
+
+            def run(task_idx: int, lr: float) -> float:
+                loss = pool.run_task(task_idx, batches, lr) * batches
+                if self.metrics is not None:
+                    self.metrics.gauge("train.pool.utilization").set(
+                        pool.last_utilization
+                    )
+                return loss
+
+            self._epochs(run, batches)
+            self.center[:] = center.array
+            self.context[:] = context.array
+
+    def _epochs(self, run, batches: int) -> None:
+        """Algorithm 1's loop over epochs, tasks and the lr schedule.
+
+        ``run(task_idx, lr)`` executes ``batches`` mini-batches of one
+        task and returns their summed loss.
+        """
+        cfg = self.config
         total_steps = cfg.epochs * len(self.tasks) * batches
         step_counter = 0
         sinks = {"metrics": self.metrics, "tracer": self.tracer}
         for epoch in range(cfg.epochs):
             with stage("train.epoch", epoch=epoch, **sinks) as timed_epoch:
                 epoch_loss = 0.0
-                for task in self.tasks:
+                for task_idx, task in enumerate(self.tasks):
                     lr = cfg.lr * max(
                         0.1, 1.0 - step_counter / max(1, total_steps)
                     )
                     with stage(f"train.task.{task.name}", **sinks) as timed:
-                        task_loss = 0.0
-                        for _ in range(batches):
-                            task_loss += task.step(
-                                self.center, self.context, cfg.batch_size,
-                                lr, rng,
-                            )
+                        task_loss = run(task_idx, lr)
                     self._record_task(task, task_loss, batches, timed.seconds)
                     epoch_loss += task_loss
                     step_counter += batches
@@ -524,74 +568,3 @@ class ActorTrainer:
             self._record_epoch(
                 mean_loss, len(self.tasks) * batches, timed_epoch.seconds
             )
-
-    def _train_parallel(self, rng: np.random.Generator) -> None:
-        if self.store.backend == "shared":
-            # The model's storage already lives in POSIX shared memory:
-            # the forked pool scatter-adds straight into the store's own
-            # segments — no staging copies, and other processes mapping
-            # the store see every update live.
-            self._pool_epochs(rng, self.center, self.context)
-            return
-        # Dense/mmap/sharded storage: stage the matrices in a temporary
-        # shared store for the pool's lifetime, then copy the result back
-        # (a sharded store's assembled views absorb the copy-back and
-        # scatter it to the owning shards on the post-train bump).
-        with SharedMemStore(self.center, self.context) as staging:
-            self._pool_epochs(rng, staging.center, staging.context)
-            self.center[:] = staging.center
-            self.context[:] = staging.context
-
-    def _pool_epochs(
-        self, rng: np.random.Generator, center: np.ndarray, context: np.ndarray
-    ) -> None:
-        """Run every epoch's dispatches against one persistent Hogwild pool.
-
-        ``center``/``context`` must be shared-memory-backed views: the
-        forked workers inherit them and update the same pages in place.
-        """
-        cfg = self.config
-        batches = self.batches_per_epoch()
-        total_steps = cfg.epochs * len(self.tasks) * batches
-        step_counter = 0
-        pool_seed = spawn_rng(rng, 1)[0]
-        with HogwildPool(
-            self.tasks,
-            center,
-            context,
-            cfg.batch_size,
-            cfg.n_threads,
-            seed=pool_seed,
-        ) as pool:
-            sinks = {"metrics": self.metrics, "tracer": self.tracer}
-            for epoch in range(cfg.epochs):
-                with stage(
-                    "train.epoch", epoch=epoch, **sinks
-                ) as timed_epoch:
-                    epoch_loss = 0.0
-                    for task_idx, task in enumerate(self.tasks):
-                        lr = cfg.lr * max(
-                            0.1, 1.0 - step_counter / max(1, total_steps)
-                        )
-                        with stage(
-                            f"train.task.{task.name}", **sinks
-                        ) as timed:
-                            task_loss = pool.run_task(
-                                task_idx, batches, lr
-                            )
-                        self._record_task(
-                            task, task_loss * batches, batches,
-                            timed.seconds,
-                        )
-                        epoch_loss += task_loss
-                        step_counter += batches
-                    if self.metrics is not None:
-                        self.metrics.gauge("train.pool.utilization").set(
-                            pool.last_utilization
-                        )
-                    mean_loss = epoch_loss / len(self.tasks)
-                    timed_epoch.set(loss=mean_loss)
-                self.loss_history.append(mean_loss)
-                self._record_epoch(
-                    mean_loss, len(self.tasks) * batches, timed_epoch.seconds
-                )

@@ -9,9 +9,9 @@ from repro.embedding.edge_sampler import (
     UniformNegativeSampler,
 )
 from repro.embedding.line import LineEmbedding, merge_edge_sets
-from repro.embedding.parallel import HogwildPool, fork_available, hogwild_run
-from repro.embedding.shared import SharedMatrix
+from repro.embedding.parallel import HogwildPool, fork_available
 from repro.embedding.sgns import sgns_batch_loss, sgns_step, sgns_step_bow, sigmoid
+from repro.storage.shared import SharedMatrix
 
 __all__ = [
     "AliasTable",
@@ -22,7 +22,6 @@ __all__ = [
     "NOISE_POWER",
     "LineEmbedding",
     "merge_edge_sets",
-    "hogwild_run",
     "HogwildPool",
     "fork_available",
     "SharedMatrix",

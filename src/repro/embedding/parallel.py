@@ -2,20 +2,13 @@
 
 Section 5.2.3: "We adopt the asynchronous stochastic gradient algorithm for
 optimizing Eq. (5)", and Fig. 12b/12c measure strong/weak scaling over 1-4
-workers.  The paper's C++ code uses lock-free pthreads over shared arrays.
-Two equivalents are provided here:
-
-* :func:`hogwild_run` — worker *threads* applying NumPy updates to shared
-  matrices.  Simple and dependency-free, but the scatter-add kernels hold
-  the GIL, so threads provide concurrency without real speedup.  Used for
-  correctness-oriented concurrent execution.
-* :class:`HogwildPool` — worker *processes* forked after setup, updating
-  embedding matrices that live in POSIX shared memory
-  (:class:`~repro.storage.shared.SharedMemStore` segments).  This is the
-  honest
-  reproduction of the paper's lock-free parallelism: each process
-  scatter-adds into the same pages without locks, and the occasional lost
-  update is the documented Hogwild trade-off.
+workers.  The paper's C++ code uses lock-free pthreads over shared arrays;
+Python threads cannot parallelize the NumPy kernels (the scatter-adds hold
+the GIL), so :class:`HogwildPool` forks worker *processes* after setup,
+updating embedding matrices that live in POSIX shared memory
+(:class:`~repro.storage.shared.SharedMatrix` segments).  Each process
+scatter-adds into the same pages without locks, and the occasional lost
+update is the documented Hogwild trade-off.
 
 Requires a ``fork``-capable platform (Linux, macOS) for the process pool;
 the trainer falls back to single-process execution elsewhere.
@@ -24,90 +17,17 @@ the trainer falls back to single-process execution elsewhere.
 from __future__ import annotations
 
 import multiprocessing as mp
-import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from repro.utils.rng import ensure_rng, spawn_rng
+from repro.utils.rng import ensure_rng
 
 __all__ = [
-    "hogwild_run",
     "HogwildPool",
     "fork_available",
 ]
-
-# A step function receives a worker-private RNG and performs one mini-batch
-# update against shared state, returning the batch loss.
-StepFn = Callable[[np.random.Generator], float]
-
-
-def hogwild_run(
-    step_fn: StepFn,
-    n_steps: int,
-    *,
-    n_threads: int = 1,
-    seed: int | np.random.Generator | None = 0,
-) -> float:
-    """Execute ``n_steps`` mini-batch updates across ``n_threads`` workers.
-
-    Parameters
-    ----------
-    step_fn:
-        Performs one update on shared arrays; must be thread-safe in the
-        Hogwild sense (NumPy in-place scatter-adds on shared matrices).
-    n_steps:
-        Total steps, split as evenly as possible across workers.
-    n_threads:
-        Worker count; 1 runs inline with no thread overhead.
-
-    Returns
-    -------
-    Mean loss across all executed steps.
-    """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    if n_steps == 0:
-        return 0.0
-    rng = ensure_rng(seed)
-
-    if n_threads == 1:
-        total = 0.0
-        for _ in range(n_steps):
-            total += step_fn(rng)
-        return total / n_steps
-
-    worker_rngs = spawn_rng(rng, n_threads)
-    per_worker = [n_steps // n_threads] * n_threads
-    for i in range(n_steps % n_threads):
-        per_worker[i] += 1
-    losses = [0.0] * n_threads
-    errors: list[BaseException] = []
-
-    def worker(worker_id: int) -> None:
-        local_rng = worker_rngs[worker_id]
-        acc = 0.0
-        try:
-            for _ in range(per_worker[worker_id]):
-                acc += step_fn(local_rng)
-        except BaseException as exc:  # surface worker failures to the caller
-            errors.append(exc)
-        losses[worker_id] = acc
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(n_threads)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return sum(losses) / n_steps
 
 
 def fork_available() -> bool:
@@ -150,7 +70,7 @@ class HogwildPool:
         inherit it (and all its samplers) via fork — nothing is pickled.
     center, context:
         Shared-memory-backed embedding matrices
-        (:attr:`~repro.embedding.shared.SharedMatrix.array` views).
+        (:attr:`~repro.storage.shared.SharedMatrix.array` views).
     batch_size:
         Edges per SGD step.
     n_workers:

@@ -135,8 +135,7 @@ class BundlePublisher:
     shards:
         Hash-partition every published bundle over this many shard
         sidecars (format v3, see :mod:`repro.sharding`); ``1`` (default)
-        publishes plain v2 bundles.  Validated against
-        :func:`~repro.core.serialize.check_shard_plan` at publish time.
+        publishes plain v2 bundles.  Must be >= 1.
     retain:
         How many published epochs to keep; older ones are pruned after
         each publish.  Epochs referenced by the ``CURRENT`` or ``LATEST``

@@ -47,6 +47,8 @@ _MAX_K = 1024
 # distance to every spatial hotspot overflows, and the snap then finds
 # no nearest hotspot at all.
 _MAX_COORDINATE = 1e150
+# Longest client value (as its repr) an error message echoes.
+_MAX_ECHO = 64
 
 
 class BadRequest(ValueError):
@@ -118,6 +120,19 @@ class NeighborsRequest:
     location: tuple[float, float] | None = None
     words: tuple[str, ...] | None = None
     k: int = 10
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to a marked prefix.
+
+    A 400 body and its ``serve.bad_request`` log line must not grow with
+    the client's value: anything past :data:`_MAX_ECHO` characters is
+    replaced by ``...`` and the full length.
+    """
+    text = repr(value)
+    if len(text) <= _MAX_ECHO:
+        return text
+    return f"{text[:_MAX_ECHO]}... ({len(text)} chars)"
 
 
 def _require_dict(body) -> dict:
@@ -280,7 +295,7 @@ class QueryService:
         target = body.get("target")
         if target not in TARGETS:
             raise BadRequest(
-                f"target must be one of {list(TARGETS)}, got {target!r}",
+                f"target must be one of {list(TARGETS)}, got {_echo(target)}",
                 field="target",
             )
         raw = body.get("candidates")
@@ -320,7 +335,7 @@ class QueryService:
         if modality not in NEIGHBOR_MODALITIES:
             raise BadRequest(
                 f"modality must be one of {list(NEIGHBOR_MODALITIES)}, "
-                f"got {modality!r}",
+                f"got {_echo(modality)}",
                 field="modality",
             )
         request = NeighborsRequest(

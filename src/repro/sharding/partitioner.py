@@ -2,17 +2,16 @@
 
 The partitioner answers one question — *which shard owns global row
 ``g``?* — and answers it identically in every process that ever sees the
-same ``(g, n_shards)`` pair: the trainer that wrote the row, the bundle
-exporter that laid it out on disk, and the serving replica that memory-
-maps it back.  No assignment table is stored anywhere; the mapping is
-re-derived from the row id alone.
+same ``(g, n_shards)`` pair: the bundle exporter that laid the row out on
+disk and the serving replica that memory-maps it back.  No assignment
+table is stored anywhere; the mapping is re-derived from the row id
+alone.
 
 Two properties make that safe:
 
 * **Stability under growth.**  The assignment of row ``g`` depends only
-  on ``g`` and ``K``, never on the total row count, so growing the store
-  (streaming ingest creating new vertices) never moves an existing row
-  between shards.
+  on ``g`` and ``K``, never on the total row count, so a bundle of a
+  grown model keeps every older row on its old shard.
 * **Uniformity.**  Raw row ids are sequential, so ``g % K`` would put
   every K-th row on one shard and make range-correlated workloads
   (e.g. all TIME rows, which are allocated contiguously) hammer a single
@@ -98,9 +97,8 @@ class HashPartitioner:
         * ``shard_rows[s]`` is the ascending array of global ids held by
           shard ``s`` (so ``shard_rows[s][local]`` inverts ``local_of``).
 
-        Local order within a shard is ascending global id — the same
-        order rows are appended by :meth:`extend_maps` as the store
-        grows, so layouts derived all at once or incrementally agree.
+        Local order within a shard is ascending global id — the order
+        a format-v3 bundle's per-shard sidecars hold their rows in.
         """
         if n_rows < 0:
             raise ValueError(f"n_rows must be >= 0, got {n_rows}")
@@ -112,36 +110,3 @@ class HashPartitioner:
             local_of[rows] = np.arange(rows.shape[0], dtype=np.int64)
             shard_rows.append(rows)
         return shard_of, local_of, shard_rows
-
-    def extend_maps(self, shard_of, local_of, shard_rows, n_new: int):
-        """Extend an existing layout with ``n_new`` fresh global rows.
-
-        New ids ``N .. N+n_new-1`` are assigned by the same hash and
-        appended to their shards in ascending-id order; existing entries
-        are never touched (growth stability).  Returns the extended
-        ``(shard_of, local_of, shard_rows)`` triple.
-        """
-        if n_new < 0:
-            raise ValueError(f"n_new must be >= 0, got {n_new}")
-        if n_new == 0:
-            return shard_of, local_of, shard_rows
-        n_old = shard_of.shape[0]
-        new_ids = np.arange(n_old, n_old + n_new, dtype=np.uint64)
-        new_assign = self.shard_of(new_ids)
-        new_local = np.empty(n_new, dtype=np.int64)
-        out_rows = list(shard_rows)
-        for s in range(self.n_shards):
-            mask = new_assign == s
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            base = out_rows[s].shape[0]
-            new_local[mask] = base + np.arange(count, dtype=np.int64)
-            out_rows[s] = np.concatenate(
-                [out_rows[s], new_ids[mask].astype(np.int64)]
-            )
-        return (
-            np.concatenate([shard_of, new_assign]),
-            np.concatenate([local_of, new_local]),
-            out_rows,
-        )

@@ -1,24 +1,20 @@
-""":class:`ShardedStore` — one embedding store hash-partitioned over K children.
+""":class:`ShardedStore` — a read-only view of a format-v3 bundle's shards.
 
-The store keeps the :class:`~repro.storage.base.EmbeddingStore` contract
-intact for every caller (trainer, streaming ingest, query engine, bundle
-I/O) while the actual rows live on ``K`` child stores, each of which can
-be any single-shard backend (``dense`` / ``shared`` / ``mmap``).  Three
-mechanisms make the illusion hold:
+A format-v3 bundle hash-partitions the embedding rows over ``K``
+per-shard sidecar directories; :func:`~repro.core.serialize.load_bundle`
+opens one child store per shard and wraps them here, so every reader
+(query engine, ANN index, bundle re-export) sees one
+:class:`~repro.storage.base.EmbeddingStore`.  Three mechanisms make the
+illusion hold:
 
-* **Assembled staging view.**  ``store.center`` returns one global
-  matrix, assembled from the children in global-row order and *kept* —
-  the same object is returned while the shape is unchanged, so SGD
-  kernels that captured the view keep writing into it across epochs.
-  :meth:`bump` (the contract's "I wrote in place" signal) scatters the
-  staged rows back to the owning children before advancing the version,
-  so children are authoritative again at every version edge.
+* **Assembled view.**  ``store.center`` returns one global matrix,
+  assembled from the children in global-row order and kept while the
+  row count is unchanged.  It is read-only, like the store: ``set_matrix``,
+  ``put_row``, ``grow`` and element writes all raise.
 * **Composite version.**  :attr:`version` is the store's own counter
-  plus the sum of the children's counters.  Any mutation — routed row
-  write, child growth, staged-write flush — advances it, and it is
-  strictly monotone under arbitrary interleavings of per-shard
-  mutations, so `QueryEngine` / ANN cache stamping keeps working
-  unchanged.
+  plus the sum of the children's counters, so a :meth:`bump` or a
+  child's bump advances it strictly, and `QueryEngine` / ANN cache
+  stamping works unchanged.
 * **Derived layout.**  Row placement comes from the
   :class:`~repro.sharding.partitioner.HashPartitioner` alone; the
   global↔local maps are re-derived from the row count and never
@@ -46,51 +42,18 @@ __all__ = ["ShardedStore", "shard_subdir"]
 def shard_subdir(root, shard: int) -> Path:
     """Canonical on-disk directory for one shard: ``<root>/shards/NN``.
 
-    Shared by the training-time mmap layout and bundle format v3 so a
-    bundle directory can be opened directly as a sharded mmap store.
+    The bundle writer and :func:`~repro.core.serialize.load_bundle`
+    both place shard ``NN``'s sidecars here.
     """
     return Path(root) / "shards" / f"{shard:02d}"
 
 
 class ShardedStore(EmbeddingStore):
-    """Hash-partition the embedding matrices over ``n_shards`` children.
+    """Read-only store whose rows are hash-partitioned over child stores.
 
-    Parameters
-    ----------
-    n_shards:
-        Number of child shards (>= 1).
-    child_backend:
-        Backend for every child (``dense`` / ``shared`` / ``mmap``).
-    directory:
-        Root directory for mmap children (each child gets
-        ``<directory>/shards/NN``); only valid with ``mmap``.
-
-    Use :meth:`from_children` to wrap pre-loaded child stores (bundle
-    format v3 reads shards straight off disk and hands them here).
+    Built by :meth:`from_children` from per-shard stores (bundle format
+    v3 reads shards straight off disk and hands them here).
     """
-
-    backend = "sharded"
-
-    def __init__(
-        self,
-        n_shards: int,
-        *,
-        child_backend: str = "dense",
-        directory=None,
-    ) -> None:
-        super().__init__()
-        from repro.storage import make_store
-
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        children = []
-        for s in range(n_shards):
-            child_dir = None
-            if directory is not None:
-                child_dir = shard_subdir(directory, s)
-                child_dir.mkdir(parents=True, exist_ok=True)
-            children.append(make_store(child_backend, directory=child_dir))
-        self._init_sharding(children)
 
     @classmethod
     def from_children(cls, children) -> "ShardedStore":
@@ -103,9 +66,16 @@ class ShardedStore(EmbeddingStore):
         children = list(children)
         if not children:
             raise ValueError("from_children requires at least one child")
-        store = cls.__new__(cls)
-        EmbeddingStore.__init__(store)
-        store._init_sharding(children)
+        store = cls()
+        store.children = children
+        store.partitioner = HashPartitioner(len(children))
+        # Assembled global matrices, kept while the row count is unchanged.
+        store._assembled = {}
+        # Layout cache for the most recent row count.
+        store._layout_rows = -1
+        store._shard_of = np.empty(0, dtype=np.int64)
+        store._local_of = np.empty(0, dtype=np.int64)
+        store._shard_rows = []
         for name in MATRIX_NAMES:
             try:
                 counts = [c.as_array(name).shape[0] for c in children]
@@ -121,19 +91,6 @@ class ShardedStore(EmbeddingStore):
                 )
         return store
 
-    def _init_sharding(self, children) -> None:
-        """Shared constructor tail: children, partitioner, empty caches."""
-        self.children = list(children)
-        self.partitioner = HashPartitioner(len(self.children))
-        # Assembled global matrices (staging buffers), kept object-stable
-        # while their shape is unchanged so captured views stay live.
-        self._assembled: dict[str, np.ndarray] = {}
-        # Layout cache for the most recent row count.
-        self._layout_rows = -1
-        self._shard_of = np.empty(0, dtype=np.int64)
-        self._local_of = np.empty(0, dtype=np.int64)
-        self._shard_rows: list[np.ndarray] = []
-
     # ----------------------------------------------------------------- layout
 
     @property
@@ -144,9 +101,7 @@ class ShardedStore(EmbeddingStore):
     def _layout(self, n_rows: int):
         """``(shard_of, local_of, shard_rows)`` for ``n_rows`` rows.
 
-        Cached for the most recent count; growth extends it in place via
-        :meth:`grow` (same result as a rebuild — the partitioner appends
-        in ascending-id order).
+        Cached for the most recent count.
         """
         if n_rows != self._layout_rows:
             self._shard_of, self._local_of, self._shard_rows = (
@@ -154,14 +109,6 @@ class ShardedStore(EmbeddingStore):
             )
             self._layout_rows = n_rows
         return self._shard_of, self._local_of, self._shard_rows
-
-    def global_rows(self, shard: int) -> np.ndarray:
-        """Ascending global row ids owned by ``shard`` (current layout)."""
-        return self._layout(self.n_rows)[2][shard]
-
-    def shard_for_rows(self, rows) -> np.ndarray:
-        """Owning shard for each global row id (vectorized)."""
-        return self.partitioner.shard_of(rows)
 
     # ---------------------------------------------------------------- version
 
@@ -178,42 +125,6 @@ class ShardedStore(EmbeddingStore):
         for child in self.children:  # a plain loop: read on every query
             version += child.version
         return version
-
-    def bump(self) -> int:
-        """Flush staged in-place writes to the children; advance version.
-
-        This is the single synchronization edge of the staging design:
-        external code writes into the assembled :attr:`center` /
-        :attr:`context` views and calls ``bump()`` once per burst (the
-        base-class contract); the staged rows are scattered back to the
-        owning children here — advancing each child's counter so its
-        normalized cache rebuilds — making the children authoritative
-        before any reader re-derives a view.
-        """
-        for name, buf in self._assembled.items():
-            self._scatter(name, buf, advance=True)
-        self._version += 1
-        return self.version
-
-    def _scatter(
-        self, name: str, buf: np.ndarray, *, advance: bool
-    ) -> None:
-        """Write the assembled matrix back into the child backing arrays.
-
-        ``advance=True`` (the :meth:`bump` path) also bumps each child so
-        per-child caches notice; durability paths (:meth:`flush`,
-        pickling) scatter silently — the logical content is unchanged,
-        matching the base-class semantics of unbumped in-place writes.
-        """
-        _, _, shard_rows = self._layout(buf.shape[0])
-        for child, rows in zip(self.children, shard_rows):
-            arr = child._get(name)
-            if arr is None or arr.shape != (rows.shape[0], buf.shape[1]):
-                child._put(name, buf[rows].copy())
-            else:
-                arr[:] = buf[rows]
-            if advance:
-                child.bump()
 
     # --------------------------------------------------------------- matrices
 
@@ -234,7 +145,7 @@ class ShardedStore(EmbeddingStore):
         return self.children[0].as_array("center").shape[1]
 
     def _get(self, name: str) -> np.ndarray | None:
-        """Assemble (or return the staged) global matrix for ``name``."""
+        """Assemble (or return the cached) read-only global ``name``."""
         child_arrays = []
         n_rows = 0
         for child in self.children:  # a plain loop: read on every query
@@ -251,35 +162,14 @@ class ShardedStore(EmbeddingStore):
         _, _, shard_rows = self._layout(n_rows)
         for arr, rows in zip(child_arrays, shard_rows):
             buf[rows] = arr
+        buf.flags.writeable = False
         self._assembled[name] = buf
         return buf
-
-    def _put(self, name: str, value: np.ndarray) -> None:
-        """Split ``value`` by hash assignment and store it on the children.
-
-        The assembled staging buffer is refreshed in place when the shape
-        is unchanged (captured views stay coherent) and dropped
-        otherwise.
-        """
-        _, _, shard_rows = self._layout(value.shape[0])
-        for child, rows in zip(self.children, shard_rows):
-            child._put(name, np.ascontiguousarray(value[rows]))
-        buf = self._assembled.get(name)
-        if buf is not None and buf.shape == value.shape:
-            if buf is not value:
-                buf[:] = value
-        else:
-            self._assembled.pop(name, None)
-
-    def set_matrix(self, name: str, value) -> None:
-        """Replace the named matrix wholesale (children + staging view)."""
-        self._put(self._check_name(name), self._coerce(value))
-        self._version += 1  # not bump(): the children were just written
 
     # -------------------------------------------------------------- row level
 
     def get_row(self, row: int, name: str = "center") -> np.ndarray:
-        """One row, read from the staged view or the owning child."""
+        """One row, read from the assembled view or the owning child."""
         name = self._check_name(name)
         buf = self._assembled.get(name)
         if buf is not None:
@@ -292,10 +182,10 @@ class ShardedStore(EmbeddingStore):
     def view(self, rows, name: str = "center") -> np.ndarray:
         """Bulk gather routed per shard — no global assembly on read paths.
 
-        When a staged global matrix exists it is authoritative (it may
-        hold unflushed in-place writes); otherwise rows are gathered
-        child by child, which keeps mmap-backed serving from
-        materializing the whole matrix just to read a modality's rows.
+        When the assembled global matrix exists the rows come from it;
+        otherwise they are gathered child by child, which keeps
+        mmap-backed serving from materializing the whole matrix just to
+        read a modality's rows.
         """
         rows = np.asarray(rows, dtype=np.int64)
         buf = self._assembled.get(self._check_name(name))
@@ -309,64 +199,6 @@ class ShardedStore(EmbeddingStore):
             if mask.any():
                 out[mask] = child.view(local_of[rows[mask]], name)
         return out
-
-    def put_row(self, row: int, vector, name: str = "center") -> None:
-        """Overwrite one row on its owning child (and the staged view)."""
-        name = self._check_name(name)
-        shard_of, local_of, _ = self._layout(self.n_rows)
-        shard = int(shard_of[row])
-        self.children[shard].put_row(int(local_of[row]), vector, name)
-        buf = self._assembled.get(name)
-        if buf is not None:
-            buf[row] = vector
-
-    # ----------------------------------------------------------------- growth
-
-    def grow(self, center_rows, context_rows) -> int:
-        """Append rows; each new global id lands on its hash-owner shard.
-
-        New ids are appended to each child in ascending-global order —
-        exactly the order :meth:`HashPartitioner.build_maps` derives —
-        so incremental growth and a from-scratch layout always agree.
-        Staged global matrices are extended in place (reallocated), so
-        callers must re-read :attr:`center` / :attr:`context` after
-        growth, as with every other backend.
-        """
-        center_rows = self._coerce(center_rows)
-        context_rows = self._coerce(context_rows)
-        if center_rows.shape != context_rows.shape:
-            raise ValueError(
-                "grow requires matching center/context row blocks, got "
-                f"{center_rows.shape} vs {context_rows.shape}"
-            )
-        first = self.n_rows
-        n_new = center_rows.shape[0]
-        if n_new == 0:
-            return first
-        shard_of, local_of, shard_rows = self._layout(first)
-        new_assign = self.partitioner.shard_of(
-            np.arange(first, first + n_new, dtype=np.uint64)
-        )
-        for s, child in enumerate(self.children):
-            mask = new_assign == s
-            if not mask.any():
-                continue
-            child.grow(center_rows[mask], context_rows[mask])
-        # Extend the cached layout incrementally (identical to a rebuild).
-        self._shard_of, self._local_of, self._shard_rows = (
-            self.partitioner.extend_maps(
-                shard_of, local_of, shard_rows, n_new
-            )
-        )
-        self._layout_rows = first + n_new
-        for name, block in (
-            ("center", center_rows),
-            ("context", context_rows),
-        ):
-            buf = self._assembled.get(name)
-            if buf is not None:
-                self._assembled[name] = np.vstack([buf, block])
-        return first
 
     # -------------------------------------------------------- normalized view
 
@@ -392,14 +224,7 @@ class ShardedStore(EmbeddingStore):
         self._normalized[name] = (version, out)
         return out
 
-    # ------------------------------------------------------------- durability
-
-    def flush(self) -> None:
-        """Flush staged writes to the children, then flush every child."""
-        for name, buf in self._assembled.items():
-            self._scatter(name, buf, advance=False)
-        for child in self.children:
-            child.flush()
+    # --------------------------------------------------------------- lifetime
 
     def close(self) -> None:
         """Close every child (idempotent)."""
@@ -409,16 +234,12 @@ class ShardedStore(EmbeddingStore):
     # ----------------------------------------------------------------- pickle
 
     def __getstate__(self) -> dict:
-        """Drop derived state: staging buffers, normalized cache, layout.
+        """Drop derived state: assembled views, normalized cache, layout.
 
-        Staged in-place writes are scattered to the children first (no
-        version advance — content is logically unchanged) so nothing is
-        lost; the children pickle themselves (dense children carry their
-        rows; shared/mmap children re-attach); everything else is
-        re-derived on first use.
+        The children pickle themselves (dense children carry their rows,
+        mmap children their directory); everything else is re-derived on
+        first use.
         """
-        for name, buf in self._assembled.items():
-            self._scatter(name, buf, advance=False)
         state = super().__getstate__()
         state["_assembled"] = {}
         state["_layout_rows"] = -1

@@ -1,94 +1,28 @@
-"""Pluggable embedding storage: one protocol, three backends.
+"""Embedding storage: one protocol, one writable store, read-only views.
 
 See :mod:`repro.storage.base` for the :class:`EmbeddingStore` contract.
-Pick a backend with :func:`make_store` (or the CLI's ``--store`` flag):
 
-=============  =====================================================
-``dense``      plain RAM ndarrays — default, fastest single-process
-``shared``     POSIX shared memory — Hogwild training, forked serving
-``mmap``       memory-mapped ``.npy`` files — zero-copy load, > RAM
-=============  =====================================================
+================  ===================================================
+``DenseStore``    plain RAM ndarrays — every trainable model's store
+``MmapStore``     read-only memory-mapped ``.npy`` sidecars of a
+                  format-v2 bundle (``load_bundle(..., mmap=True)``)
+``SharedMatrix``  one matrix in POSIX shared memory — the Hogwild
+                  pool's private staging during parallel training
+================  ===================================================
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.storage.base import MATRIX_NAMES, EmbeddingStore, normalize_rows
 from repro.storage.dense import DenseStore
 from repro.storage.mmap import MmapStore
-from repro.storage.shared import SharedMatrix, SharedMemStore
+from repro.storage.shared import SharedMatrix
 
 __all__ = [
     "EmbeddingStore",
     "DenseStore",
-    "SharedMemStore",
     "SharedMatrix",
     "MmapStore",
     "MATRIX_NAMES",
-    "STORE_BACKENDS",
-    "make_store",
     "normalize_rows",
 ]
-
-STORE_BACKENDS = ("dense", "shared", "mmap")
-
-
-def make_store(
-    backend: str = "dense",
-    center=None,
-    context=None,
-    *,
-    directory: str | os.PathLike | None = None,
-    n_shards: int = 1,
-) -> EmbeddingStore:
-    """Construct a store by backend name (``dense``/``shared``/``mmap``).
-
-    ``directory`` only applies to the ``mmap`` backend (a private temp
-    directory is created when omitted); passing it with another backend
-    is an error so silent misconfiguration can't slip through.
-
-    ``n_shards > 1`` wraps ``n_shards`` children of the requested
-    backend in a :class:`~repro.sharding.ShardedStore` (hash-partitioned
-    rows, one composite version; mmap children live in
-    ``<directory>/shards/NN``).  The returned store honours the same
-    :class:`EmbeddingStore` contract either way.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if n_shards > 1:
-        # Imported lazily: repro.sharding builds its children through
-        # this factory, so a top-level import would be circular.
-        from repro.sharding import ShardedStore
-
-        if backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {backend!r}; "
-                f"choose one of {STORE_BACKENDS}"
-            )
-        if directory is not None and backend != "mmap":
-            raise ValueError(
-                f"directory= only applies to the 'mmap' backend, "
-                f"not {backend!r}"
-            )
-        store = ShardedStore(
-            n_shards, child_backend=backend, directory=directory
-        )
-        if center is not None:
-            store.set_matrix("center", center)
-        if context is not None:
-            store.set_matrix("context", context)
-        return store
-    if backend == "mmap":
-        return MmapStore(center, context, directory=directory)
-    if directory is not None:
-        raise ValueError(
-            f"directory= only applies to the 'mmap' backend, not {backend!r}"
-        )
-    if backend == "dense":
-        return DenseStore(center, context)
-    if backend == "shared":
-        return SharedMemStore(center, context)
-    raise ValueError(
-        f"unknown store backend {backend!r}; choose one of {STORE_BACKENDS}"
-    )

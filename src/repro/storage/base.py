@@ -1,12 +1,9 @@
-"""The :class:`EmbeddingStore` protocol — one storage seam for all backends.
+"""The :class:`EmbeddingStore` protocol — one storage seam for all stores.
 
 ACTOR's embeddings are the system's core state: hierarchical init writes
 them, the alternating meta-graph SGNS mutates them in place, streaming
 grows them row by row, and the query engine reads normalized views of
-them.  Before this package existed the codebase held four divergent
-representations (raw ndarrays, POSIX shared-memory segments, pickled
-blobs, grow-in-place arrays with hand-rolled cache invalidation); every
-backend now implements the same small contract:
+them.  Every store implements the same small contract:
 
 * ``center`` / ``context`` — zero-copy ndarray views of the two matrices;
 * ``get_row`` / ``put_row`` / ``view`` — row-level access;
@@ -16,13 +13,15 @@ backend now implements the same small contract:
 * ``version`` / ``bump`` — a monotonic counter that every mutation path
   advances, giving downstream caches (the query engine's modality
   matrices) one invalidation signal instead of per-call-site bookkeeping;
-* ``flush`` / ``close`` — durability and resource release hooks.
+* ``close`` — resource release.
 
-Backends: :class:`~repro.storage.dense.DenseStore` (plain RAM, default),
-:class:`~repro.storage.shared.SharedMemStore` (POSIX shared memory for
-Hogwild workers and multi-process serving) and
-:class:`~repro.storage.mmap.MmapStore` (memory-mapped ``.npy`` files for
-zero-copy startup and models larger than RAM).
+Stores: :class:`~repro.storage.dense.DenseStore` (plain RAM) holds every
+trainable model; :class:`~repro.storage.mmap.MmapStore` (read-only
+memory-mapped ``.npy`` sidecars) and
+:class:`~repro.sharding.store.ShardedStore` (a format-v3 bundle's shards)
+are read-only views that only :func:`~repro.core.serialize.load_bundle`
+builds.  A store that does not implement :meth:`EmbeddingStore._put`
+is read-only: every write raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -51,18 +50,16 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingStore:
-    """Base class / protocol for pluggable center+context matrix storage.
+    """Base class / protocol for center+context matrix storage.
 
-    Subclasses implement the two private hooks :meth:`_get` (return the
-    backing ndarray of one matrix, or ``None`` when unset) and
-    :meth:`_put` (store a float64 2-D array under one name); everything
-    else — version bookkeeping, the normalized-view cache, row access,
-    growth — is shared here.  All mutation paths funnel through
+    Subclasses implement the private hook :meth:`_get` (return the
+    backing ndarray of one matrix, or ``None`` when unset) and, when
+    writable, :meth:`_put` (store a float64 2-D array under one name);
+    everything else — version bookkeeping, the normalized-view cache, row
+    access, growth — is shared here.  All mutation paths funnel through
     :meth:`set_matrix` / :meth:`put_row` / :meth:`grow` / :meth:`bump`,
     each of which advances :attr:`version`.
     """
-
-    backend = "abstract"
 
     def __init__(self) -> None:
         self._version = 0
@@ -77,8 +74,13 @@ class EmbeddingStore:
         raise NotImplementedError
 
     def _put(self, name: str, value: np.ndarray) -> None:
-        """Store ``value`` (already float64, 2-D) under ``name``."""
-        raise NotImplementedError
+        """Store ``value`` (already float64, 2-D) under ``name``.
+
+        Read-only stores keep this default, so ``set_matrix`` and
+        ``grow`` raise; their arrays are read-only too, so element
+        writes (``put_row``, ``store.center[i] = ...``) raise as well.
+        """
+        raise ValueError(f"{type(self).__name__} is read-only")
 
     # -------------------------------------------------------------- utilities
 
@@ -123,7 +125,7 @@ class EmbeddingStore:
         Returns the new version.
         """
         self._version += 1
-        return self._version
+        return self.version
 
     # --------------------------------------------------------------- matrices
 
@@ -202,14 +204,10 @@ class EmbeddingStore:
         first = self.n_rows
         if center_rows.shape[0] == 0:
             return first
-        self._append("center", center_rows)
-        self._append("context", context_rows)
+        for name, rows in (("center", center_rows), ("context", context_rows)):
+            self._put(name, np.vstack([self.as_array(name), rows]))
         self.bump()
         return first
-
-    def _append(self, name: str, rows: np.ndarray) -> None:
-        """Default growth path: reallocate via ``vstack`` through ``_put``."""
-        self._put(name, np.vstack([self.as_array(name), rows]))
 
     # -------------------------------------------------------- normalized view
 
@@ -229,13 +227,10 @@ class EmbeddingStore:
         self._normalized[name] = (self._version, matrix)
         return matrix
 
-    # ------------------------------------------------------------- durability
-
-    def flush(self) -> None:
-        """Persist pending writes (no-op for volatile backends)."""
+    # --------------------------------------------------------------- lifetime
 
     def close(self) -> None:
-        """Release backend resources (idempotent; no-op by default)."""
+        """Release store resources (idempotent; no-op by default)."""
 
     def __enter__(self) -> "EmbeddingStore":
         """Context-manager entry (returns the store)."""
@@ -254,7 +249,7 @@ class EmbeddingStore:
         return state
 
     def __repr__(self) -> str:
-        """Backend name plus shape, e.g. ``DenseStore(1024x64, v3)``."""
+        """Class name plus shape, e.g. ``DenseStore(1024x64, v3)``."""
         try:
             shape = f"{self.n_rows}x{self.dim}"
         except AttributeError:

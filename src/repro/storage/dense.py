@@ -1,11 +1,10 @@
-"""In-RAM :class:`DenseStore` — the default, behavior-identical backend.
+"""In-RAM :class:`DenseStore` — the store every trainable model holds.
 
 Wraps plain float64 ndarrays with the :class:`~repro.storage.base
 .EmbeddingStore` contract.  ``set_matrix`` keeps array identity when
 handed an already-compliant float64 array, so code that constructs a
 matrix and then trains against the model's ``center`` view mutates the
-exact same buffer it built — matching the pre-storage-layer behavior
-bit for bit.
+exact same buffer it built.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ __all__ = ["DenseStore"]
 
 
 class DenseStore(EmbeddingStore):
-    """Plain in-process ndarray storage (the default backend)."""
-
-    backend = "dense"
+    """Plain in-process ndarray storage (the one writable store)."""
 
     def __init__(self, center=None, context=None) -> None:
         super().__init__()

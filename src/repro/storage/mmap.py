@@ -1,21 +1,21 @@
 """Memory-mapped :class:`MmapStore` — zero-copy model serving from disk.
 
 Both matrices live as raw ``.npy`` files (``center.npy`` /
-``context.npy``) inside one directory, mapped with
+``context.npy``) inside one directory, mapped read-only with
 ``numpy.lib.format.open_memmap``.  Opening a multi-gigabyte model is then
 an ``mmap(2)`` call instead of a deserialize-everything pickle load:
 pages fault in lazily as queries touch rows, cold-start is near-instant,
 models larger than RAM serve fine, and several processes mapping the same
 bundle share one page-cache copy.  Format-v2 bundles written by
 :func:`repro.core.serialize.save_bundle` use exactly this layout, so
-``load_bundle(..., mmap=True)`` adopts the bundle directory as a
-read-only store with no copying at all.
+``load_bundle(..., mmap=True)`` adopts the bundle directory as a store
+with no copying at all.  The store never writes: ``set_matrix``,
+``grow`` and element writes all raise.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -28,114 +28,43 @@ _FILENAMES = {"center": "center.npy", "context": "context.npy"}
 
 
 class MmapStore(EmbeddingStore):
-    """Embedding store backed by memory-mapped ``.npy`` files.
+    """Read-only embedding store over memory-mapped ``.npy`` files.
 
-    ``mode`` follows ``numpy.memmap`` semantics: ``"r+"`` (default) maps
-    existing files read-write, ``"r"`` maps them read-only — any mutation
-    attempt raises.  Matrices are opened lazily on first access, so
-    constructing a store over a huge bundle costs nothing until rows are
-    touched.  With no ``directory`` a private temp directory is created
-    (scratch training runs); shape-changing writes go through a
-    write-temp-then-``os.replace`` dance so a crash mid-resize never
-    corrupts the mapped files.
+    Matrices are mapped lazily on first access, so opening a store over a
+    huge bundle costs nothing until rows are touched.
     """
 
-    backend = "mmap"
-
-    def __init__(
-        self,
-        center=None,
-        context=None,
-        *,
-        directory: str | os.PathLike | None = None,
-        mode: str = "r+",
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
         super().__init__()
-        if mode not in ("r", "r+"):
-            raise ValueError(f"mode must be 'r' or 'r+', got {mode!r}")
-        if directory is None:
-            if mode == "r":
-                raise ValueError("read-only MmapStore requires a directory")
-            directory = tempfile.mkdtemp(prefix="repro-store-")
         self.directory = Path(directory)
-        self.mode = mode
         self._arrays: dict[str, np.ndarray | None] = {
             "center": None,
             "context": None,
         }
-        if center is not None:
-            self.set_matrix("center", center)
-        if context is not None:
-            self.set_matrix("context", context)
 
     @classmethod
-    def open(cls, directory: str | os.PathLike, mode: str = "r") -> "MmapStore":
+    def open(cls, directory: str | os.PathLike) -> "MmapStore":
         """Map an existing directory of ``center.npy``/``context.npy``."""
-        return cls(directory=directory, mode=mode)
-
-    def _path(self, name: str) -> Path:
-        """On-disk path of the named matrix."""
-        return self.directory / _FILENAMES[name]
+        return cls(directory)
 
     def _get(self, name: str) -> np.ndarray | None:
         """Lazily map the named file; ``None`` when it doesn't exist."""
         arr = self._arrays[name]
         if arr is None:
-            path = self._path(name)
+            path = self.directory / _FILENAMES[name]
             if path.exists():
-                arr = np.lib.format.open_memmap(path, mode=self.mode)
+                arr = np.lib.format.open_memmap(path, mode="r")
                 self._arrays[name] = arr
         return arr
 
-    def _put(self, name: str, value: np.ndarray) -> None:
-        """Overwrite in place when shapes match, else rewrite atomically."""
-        if self.mode == "r":
-            raise ValueError(
-                f"store at {self.directory} is read-only (mode='r')"
-            )
-        existing = self._get(name)
-        if existing is not None and existing.shape == value.shape:
-            existing[:] = value
-            return
-        self._arrays[name] = None  # drop the stale mapping before replace
-        path = self._path(name)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp_path = path.with_suffix(".npy.tmp")
-        out = np.lib.format.open_memmap(
-            tmp_path, mode="w+", dtype=np.float64, shape=value.shape
-        )
-        out[:] = value
-        out.flush()
-        del out  # release the w+ mapping before the rename
-        os.replace(tmp_path, path)
-        self._arrays[name] = np.lib.format.open_memmap(path, mode="r+")
-
-    def flush(self) -> None:
-        """``msync`` pending writes of both mapped matrices to disk."""
-        for arr in self._arrays.values():
-            if isinstance(arr, np.memmap):
-                arr.flush()
-
     def close(self) -> None:
         """Drop the mappings (files stay on disk; idempotent)."""
-        if self.mode != "r":
-            self.flush()
         self._arrays = {"center": None, "context": None}
 
     # ----------------------------------------------------------------- pickle
 
     def __getstate__(self) -> dict:
-        """Pickle as directory reference — the ``.npy`` files ARE the data.
-
-        Pending writes are flushed first so the unpickled store maps the
-        same bytes the live one held.
-        """
-        if self.mode != "r":
-            self.flush()
+        """Pickle as directory reference — the ``.npy`` files ARE the data."""
         state = super().__getstate__()
         state["_arrays"] = {"center": None, "context": None}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Re-map the directory lazily on first access after unpickling."""
-        self.__dict__.update(state)

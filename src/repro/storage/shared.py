@@ -1,25 +1,18 @@
-"""POSIX shared-memory backend for Hogwild training and shared serving.
+"""POSIX shared-memory matrices for the Hogwild training pool.
 
 Python threads cannot parallelize the NumPy SGNS kernels (the scatter-add
 updates hold the GIL), so the paper's lock-free multi-threaded SGD (Recht
-et al.; Fig. 12b/c) is reproduced with *processes*: the center and context
-matrices live in POSIX shared memory, worker processes are forked after
-the trainer is fully constructed, and every worker scatter-adds into the
-same pages without locks — the Hogwild recipe with processes supplying
-the parallelism threads cannot.
+et al.; Fig. 12b/c) is reproduced with *processes*: for the pool's
+lifetime the trainer stages the center and context matrices in POSIX
+shared memory, worker processes are forked after the trainer is fully
+constructed, and every worker scatter-adds into the same pages without
+locks — the Hogwild recipe with processes supplying the parallelism
+threads cannot.
 
-:class:`SharedMatrix` wraps one matrix in one segment (it is the same
-class `repro.embedding.shared` has always exported — that module is now a
-thin re-export).  Cleanup is crash-proof: a ``weakref.finalize`` guard
-unlinks the segment even when the owning trainer dies mid-epoch and
-``close()`` is never reached, so aborted runs no longer leak ``/dev/shm``
-segments until reboot.
-
-:class:`SharedMemStore` composes two segments behind the
-:class:`~repro.storage.base.EmbeddingStore` contract, which lets the
-Hogwild pool train *directly* on a model's live storage (no copy-in /
-copy-out) and lets forked serving processes answer queries against one
-shared embedding table.
+:class:`SharedMatrix` wraps one matrix in one segment.  Cleanup is
+crash-proof: a ``weakref.finalize`` guard unlinks the segment even when
+the owning trainer dies mid-epoch and ``close()`` is never reached, so
+aborted runs do not leak ``/dev/shm`` segments until reboot.
 """
 
 from __future__ import annotations
@@ -29,9 +22,9 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.storage.base import EmbeddingStore
+from repro.storage.dense import DenseStore
 
-__all__ = ["SharedMatrix", "SharedMemStore"]
+__all__ = ["SharedMatrix"]
 
 
 def _release_segment(shm: shared_memory.SharedMemory) -> None:
@@ -108,69 +101,17 @@ class SharedMatrix:
         self.close()
 
 
-class SharedMemStore(EmbeddingStore):
-    """Embedding store with both matrices in POSIX shared memory.
+class SharedMemStore(DenseStore):
+    """Unpickling stand-in for the retired shared-memory store.
 
-    Forked processes (Hogwild SGD workers, read-only query servers)
-    inherit the segments and operate on the very same pages — the
-    trainer's in-place updates are visible to every process with no
-    copies.  ``grow`` reallocates fresh segments and retires the old
-    ones (unlink now, pages reclaimed when the last inherited mapping
-    dies).  Pickling materializes the contents and recreates private
-    segments on load: shared memory is per-machine, not per-bundle.
+    Models pickled after ``repro train --store shared`` hold a
+    ``SharedMemStore`` whose state carries both matrices under
+    ``_segments``; unpickling turns it into a :class:`DenseStore` holding
+    them, version counter included.
     """
 
-    backend = "shared"
-
-    def __init__(self, center=None, context=None) -> None:
-        super().__init__()
-        self._segments: dict[str, SharedMatrix | None] = {
-            "center": None,
-            "context": None,
-        }
-        if center is not None:
-            self.set_matrix("center", center)
-        if context is not None:
-            self.set_matrix("context", context)
-
-    def _get(self, name: str) -> np.ndarray | None:
-        """The live shared-memory view (or ``None`` when unset)."""
-        seg = self._segments[name]
-        return None if seg is None else seg.array
-
-    def _put(self, name: str, value: np.ndarray) -> None:
-        """Write into the segment in place, reallocating on shape change."""
-        seg = self._segments[name]
-        if seg is not None and seg.array is not None:
-            if seg.array.shape == value.shape:
-                seg.array[:] = value
-                return
-            seg.close()  # retire: unlink now, pages freed with last mapping
-        self._segments[name] = SharedMatrix(value)
-
-    def close(self) -> None:
-        """Release both segments (idempotent)."""
-        for seg in self._segments.values():
-            if seg is not None:
-                seg.close()
-        self._segments = {"center": None, "context": None}
-
-    # ----------------------------------------------------------------- pickle
-
-    def __getstate__(self) -> dict:
-        """Materialize segment contents — segments don't cross pickles."""
-        state = super().__getstate__()
-        state["_segments"] = {
-            name: None if seg is None or seg.array is None else seg.copy()
-            for name, seg in self._segments.items()
-        }
-        return state
-
     def __setstate__(self, state: dict) -> None:
-        """Recreate fresh private segments holding the pickled contents."""
-        arrays = state.pop("_segments")
+        """Become a :class:`DenseStore` over the pickled matrices."""
+        self.__class__ = DenseStore
         self.__dict__.update(state)
-        self._segments = {
-            name: None if arr is None else SharedMatrix(arr)
-            for name, arr in arrays.items()
-        }
+        self._matrices = self.__dict__.pop("_segments")

@@ -44,6 +44,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -78,6 +79,24 @@ class _HTTPServer(ThreadingHTTPServer):
         super().__init__(
             (owner.host, owner.requested_port), owner.handler_class
         )
+
+    def handle_error(self, request, client_address) -> None:
+        """Log and count a handler thread's exception instead of printing it.
+
+        The stdlib default writes a raw traceback to stderr, outside the
+        structured logger and every metric (a client that closed its
+        connection before reading the response raised
+        ``ConnectionResetError`` there).  Here it is one
+        ``http.handler_error`` warning naming the client address and the
+        exception type, counted in ``http.handler_errors``.
+        """
+        owner = self.owner
+        owner.logger.warning(
+            "http.handler_error",
+            client=f"{client_address[0]}:{client_address[1]}",
+            error=type(sys.exc_info()[1]).__name__,
+        )
+        owner.metrics.counter("http.handler_errors").inc()
 
 
 class TelemetryHandler(BaseHTTPRequestHandler):

@@ -29,7 +29,7 @@ def engine(tiny_actor):
 
 
 @pytest.fixture(scope="module")
-def mutable_actor(dataset, store_backend):
+def mutable_actor(dataset):
     """A cheap privately-owned actor (invalidation tests mutate it)."""
     config = ActorConfig(
         dim=8,
@@ -37,7 +37,6 @@ def mutable_actor(dataset, store_backend):
         line_samples=1_000,
         batches_per_epoch=2,
         seed=13,
-        store_backend=store_backend,
     )
     return Actor(config).fit(dataset.train)
 

@@ -31,14 +31,13 @@ ops_strategy = st.lists(
 
 
 @pytest.fixture(scope="module")
-def base_actor(dataset, store_backend):
+def base_actor(dataset):
     config = ActorConfig(
         dim=8,
         epochs=1,
         line_samples=1_000,
         batches_per_epoch=2,
         seed=21,
-        store_backend=store_backend,
     )
     return Actor(config).fit(dataset.train)
 

@@ -6,21 +6,11 @@ are session-scoped so the suite stays fast; tests must not mutate them.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core import Actor, ActorConfig
 from repro.data import CityConfig, CityModel, generate_dataset
 from repro.graphs import GraphBuilder
-
-# CI's store-matrix job sets REPRO_STORE=dense|shared|mmap to run the whole
-# query/serialization surface against each storage backend; local runs
-# default to the in-RAM dense backend.  The shard-matrix job additionally
-# sets REPRO_SHARDS=K to hash-partition the shared tiny model's store over
-# K child backends (repro.sharding), re-running the same surface sharded.
-STORE_BACKEND = os.environ.get("REPRO_STORE", "dense")
-STORE_SHARDS = int(os.environ.get("REPRO_SHARDS", "1"))
 
 SMALL_CITY = CityConfig(
     n_neighborhoods=4,
@@ -58,18 +48,6 @@ def dataset():
 
 
 @pytest.fixture(scope="session")
-def store_backend():
-    """The embedding-store backend this run exercises (see REPRO_STORE)."""
-    return STORE_BACKEND
-
-
-@pytest.fixture(scope="session")
-def store_shards():
-    """The shard count this run exercises (see REPRO_SHARDS)."""
-    return STORE_SHARDS
-
-
-@pytest.fixture(scope="session")
 def tiny_actor(dataset):
     """A quickly-trained ACTOR model for query-surface tests."""
     config = ActorConfig(
@@ -78,7 +56,5 @@ def tiny_actor(dataset):
         line_samples=5_000,
         batches_per_epoch=4,
         seed=5,
-        store_backend=STORE_BACKEND,
-        store_shards=STORE_SHARDS,
     )
     return Actor(config).fit(dataset.train)

@@ -13,6 +13,7 @@ from repro.core.serialize import (
     load_bundle,
     save_bundle,
 )
+from repro.storage import MmapStore
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +203,7 @@ class TestMmapLoad:
     def test_mmap_serves_identical_ranks(self, bundle_dir, tiny_actor, dataset):
         eager = load_bundle(bundle_dir)
         mapped = load_bundle(bundle_dir, mmap=True)
-        assert mapped.store.backend == "mmap"
+        assert isinstance(mapped.store, MmapStore)
         record = dataset.test[0]
         candidates = [r.location for r in dataset.test.records[:6]]
         kwargs = dict(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import Actor, ActorConfig, OnlineActor
 from repro.eval.mrr import make_queries, query_rank
-from repro.storage import make_store, normalize_rows
+from repro.storage import DenseStore, normalize_rows
 
 mutation_ops = st.lists(
     st.sampled_from(["put_row", "set_center", "set_context", "grow", "bump"]),
@@ -29,13 +29,11 @@ mutation_ops = st.lists(
 
 class TestStoreVersionProperty:
     @settings(max_examples=25, deadline=None)
-    @given(ops=mutation_ops, backend=st.sampled_from(("dense", "shared")))
-    def test_every_mutation_bumps_and_normalized_tracks(self, ops, backend):
+    @given(ops=mutation_ops)
+    def test_every_mutation_bumps_and_normalized_tracks(self, ops):
         """Arbitrary op sequences: version +1 per op, normalized fresh."""
         rng = np.random.default_rng(7)
-        store = make_store(
-            backend, rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        )
+        store = DenseStore(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
         try:
             for op in ops:
                 before = store.version
@@ -67,7 +65,7 @@ class TestStoreVersionProperty:
 
 
 @pytest.fixture(scope="module")
-def refit_actor(dataset, store_backend):
+def refit_actor(dataset):
     """A cheap, privately-owned actor (tests here mutate it)."""
     config = ActorConfig(
         dim=8,
@@ -75,7 +73,6 @@ def refit_actor(dataset, store_backend):
         line_samples=1_000,
         batches_per_epoch=2,
         seed=9,
-        store_backend=store_backend,
     )
     return Actor(config).fit(dataset.train)
 
@@ -114,10 +111,8 @@ class TestModelMutationPaths:
         assert refit_actor.store.version == version + 1
         _assert_caches_fresh(refit_actor, stale)
 
-    def test_partial_fit_growth_invalidates(
-        self, refit_actor, dataset, store_backend
-    ):
-        online = OnlineActor(refit_actor, seed=0, store_backend=store_backend)
+    def test_partial_fit_growth_invalidates(self, refit_actor, dataset):
+        online = OnlineActor(refit_actor, seed=0)
         stale = _stale_caches(online)
         version = online.store.version
         rows_before = online.store.n_rows
@@ -134,14 +129,13 @@ class TestModelMutationPaths:
         assert online.store.n_rows > rows_before  # novel words grew rows
         _assert_caches_fresh(online, stale)
 
-    def test_eviction_churn_stays_fresh(self, refit_actor, dataset, store_backend):
+    def test_eviction_churn_stays_fresh(self, refit_actor, dataset):
         """A buffer small enough to evict every batch still serves fresh ranks."""
         online = OnlineActor(
             refit_actor,
             seed=1,
             buffer_size=64,
             steps_per_batch=5,
-            store_backend=store_backend,
         )
         queries = make_queries(
             dataset.test, "location", n_noise=6, max_queries=10, seed=2

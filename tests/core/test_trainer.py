@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ActorConfig
+import repro.core.trainer as trainer_module
+from repro.core import Actor, ActorConfig
 from repro.core.hierarchical import random_init
 from repro.core.trainer import ActorTrainer
+from repro.embedding import fork_available
 from repro.graphs import GraphBuilder
 from repro.hotspots import HotspotDetector
+from repro.storage import DenseStore, SharedMatrix
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,47 @@ class TestTraining:
             small_built, ActorConfig(dim=8, epochs=1, batches_per_epoch=7)
         )
         assert trainer.batches_per_epoch() == 7
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
+class TestParallelStaging:
+    def test_fit_copies_back_into_the_dense_store(self, dataset, monkeypatch):
+        """Hogwild trains on private shared memory, then hands it back.
+
+        Both matrices are staged in :class:`SharedMatrix` segments for the
+        pool's lifetime; the trained values land in the model's own
+        arrays, and both segments are unlinked afterwards.
+        """
+        from multiprocessing import shared_memory
+
+        staged = []
+
+        class Recording(SharedMatrix):
+            def __init__(self, initial):
+                super().__init__(initial)
+                self.initial = np.array(initial)
+                self.name = self._shm.name
+                staged.append(self)
+
+            def close(self):
+                if self.array is not None:
+                    self.final = self.copy()
+                super().close()
+
+        monkeypatch.setattr(trainer_module, "SharedMatrix", Recording)
+        config = ActorConfig(
+            dim=8, epochs=2, line_samples=1_000, batches_per_epoch=4,
+            n_threads=2, seed=3,
+        )
+        model = Actor(config).fit(dataset.train)
+        assert type(model.store) is DenseStore
+        assert len(staged) == 2
+        for matrix, name in zip(staged, ("center", "context")):
+            live = model.store.as_array(name)
+            # The very array the trainer was built over...
+            assert live is getattr(model.trainer, name)
+            # ...moved off its initialization, to the staged result.
+            assert not np.array_equal(live, matrix.initial)
+            np.testing.assert_array_equal(live, matrix.final)
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=matrix.name)

@@ -8,8 +8,6 @@ import pytest
 from repro.core import Actor, ActorConfig
 from repro.lifecycle import BundlePublisher
 
-from tests.conftest import STORE_BACKEND
-
 
 @pytest.fixture(scope="session")
 def alt_actor(dataset):
@@ -25,7 +23,6 @@ def alt_actor(dataset):
         line_samples=5_000,
         batches_per_epoch=4,
         seed=13,
-        store_backend=STORE_BACKEND,
     )
     return Actor(config).fit(dataset.train)
 
@@ -47,7 +44,6 @@ def stream_actor():
         line_samples=5_000,
         batches_per_epoch=4,
         seed=2,
-        store_backend=STORE_BACKEND,
     )
     base = Actor(config).fit(data.train)
     return base, list(data.test)[:120]

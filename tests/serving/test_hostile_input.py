@@ -285,6 +285,26 @@ class TestHostileBodies:
         assert server.metrics.counter("serve.bad_requests").value == bad + 1
         assert server.metrics.counter("serve.errors").value == 0
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [("/v1/predict", "target"), ("/v1/neighbors", "modality")],
+    )
+    def test_megabyte_value_gets_a_short_400(self, server, path, field):
+        """A 400 echoes a capped prefix of the client's value, not all of it."""
+        body = dict(BASES[0][1] if path == "/v1/predict" else BASES[3][1])
+        body[field] = "x" * 1_000_000
+        request = urllib.request.Request(
+            server.url + path, data=json.dumps(body).encode(), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=30)
+        raw = excinfo.value.read()
+        assert excinfo.value.code == 400
+        assert len(raw) < 1024
+        payload = json.loads(raw)
+        assert payload["field"] == field
+        assert payload["error"].endswith("... (1000002 chars)")
+
     def test_valid_request_beside_a_hostile_one_gets_its_200(
         self, tiny_actor, direct, hold_first_dispatch
     ):

@@ -1,4 +1,4 @@
-"""Bundle format v3: sharded sidecars, back-compat, and the fleet guard."""
+"""Bundle format v3: sharded sidecars, back-compat, and the shard guard."""
 
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import pytest
 
 from repro.ann import IndexedQueryEngine
 from repro.core import QueryEngine, load_bundle, save_bundle
-from repro.core.serialize import (
-    BundleFormatError,
-    SHARDED_FORMAT_VERSION,
-    check_shard_plan,
-)
+from repro.core.serialize import BundleFormatError, SHARDED_FORMAT_VERSION
 from repro.lifecycle import BundlePublisher
 from repro.serving import QueryServer
 from repro.sharding import ShardedStore, shard_subdir
@@ -160,30 +156,12 @@ class TestValidation:
 
 
 class TestFleetGuard:
-    def test_divisible_plans_pass(self):
-        check_shard_plan(1)
-        check_shard_plan(4, 2)
-        check_shard_plan(8, 8)
-
-    def test_indivisible_plan_names_the_constraint(self):
-        with pytest.raises(ValueError) as excinfo:
-            check_shard_plan(6, 4)
-        message = str(excinfo.value)
-        assert "does not divide evenly" in message
-        assert "fleet of 4" in message
-
-    def test_save_bundle_refuses_indivisible_plan(
-        self, tmp_path, tiny_actor
-    ):
-        with pytest.raises(ValueError, match="does not divide evenly"):
-            save_bundle(tiny_actor, tmp_path / "nope", shards=3, fleet_size=2)
-        assert not (tmp_path / "nope").exists()
-
     def test_invalid_counts_rejected(self, tmp_path, tiny_actor):
-        with pytest.raises(ValueError):
-            check_shard_plan(0)
-        with pytest.raises(ValueError):
-            save_bundle(tiny_actor, tmp_path / "nope", shards=-1)
+        for shards in (0, -1):
+            with pytest.raises(ValueError, match="shards must be >= 1"):
+                save_bundle(tiny_actor, tmp_path / "nope", shards=shards)
+        # Checked before any directory is created.
+        assert not (tmp_path / "nope").exists()
 
 
 class TestPublisher:

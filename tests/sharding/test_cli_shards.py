@@ -1,13 +1,14 @@
-"""CLI surface of the sharding layer: --shards flags and the fleet guard."""
+"""CLI surface of the sharding layer: the export --shards flag."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import Actor, QueryEngine
+from repro.core import Actor, QueryEngine, load_bundle
 from repro.sharding import ShardedStore
 
 
@@ -28,7 +29,7 @@ def corpus_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def sharded_model_path(tmp_path_factory, corpus_path):
+def model_path(tmp_path_factory, corpus_path):
     path = tmp_path_factory.mktemp("cli-shards-model") / "actor.pkl"
     code = main(
         [
@@ -37,61 +38,41 @@ def sharded_model_path(tmp_path_factory, corpus_path):
             "--out", str(path),
             "--dim", "8",
             "--epochs", "1",
-            "--shards", "2",
         ]
     )
     assert code == 0
     return path
 
 
-class TestTrain:
-    def test_trains_onto_a_sharded_store(self, sharded_model_path):
-        model = Actor.load(sharded_model_path)
-        assert isinstance(model.store, ShardedStore)
-        assert model.store.n_shards == 2
-
-
 class TestExport:
-    def test_exports_sharded_bundle(self, sharded_model_path, tmp_path):
+    def test_exports_sharded_bundle(self, model_path, tmp_path):
         out = tmp_path / "bundle"
         code = main(
             [
                 "export",
-                "--model", str(sharded_model_path),
+                "--model", str(model_path),
                 "--out", str(out),
                 "--shards", "4",
-                "--fleet-size", "2",
             ]
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sharding"]["n_shards"] == 4
-
-    def test_indivisible_fleet_exits_2_with_guidance(
-        self, sharded_model_path, tmp_path, capsys
-    ):
-        code = main(
-            [
-                "export",
-                "--model", str(sharded_model_path),
-                "--out", str(tmp_path / "bundle"),
-                "--shards", "6",
-                "--fleet-size", "4",
-            ]
+        # The sidecars hold the trained rows: the bundle loads read-only
+        # as the pickled model's matrices.
+        model = load_bundle(out, mmap=True)
+        assert isinstance(model.store, ShardedStore)
+        np.testing.assert_array_equal(
+            model.center, Actor.load(model_path).center
         )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "does not divide evenly" in captured.err
-        assert "multiple of 4" in captured.err
-        assert not (tmp_path / "bundle").exists()
 
     def test_nonpositive_shards_exits_2(
-        self, sharded_model_path, tmp_path, capsys
+        self, model_path, tmp_path, capsys
     ):
         code = main(
             [
                 "export",
-                "--model", str(sharded_model_path),
+                "--model", str(model_path),
                 "--out", str(tmp_path / "bundle"),
                 "--shards", "0",
             ]
@@ -102,7 +83,7 @@ class TestExport:
 
 class TestServe:
     def test_serves_sharded_bundle_with_shard_varz(
-        self, sharded_model_path, tmp_path
+        self, model_path, tmp_path
     ):
         import urllib.request
 
@@ -110,13 +91,12 @@ class TestServe:
         assert main(
             [
                 "export",
-                "--model", str(sharded_model_path),
+                "--model", str(model_path),
                 "--out", str(out),
                 "--shards", "2",
             ]
         ) == 0
 
-        from repro.core import load_bundle
         from repro.serving import QueryServer
 
         model = load_bundle(out, mmap=True)

@@ -7,11 +7,10 @@ property-based rather than by example:
   never on how many vertices exist, so growing the store never migrates
   existing rows.
 * **Map round-trip** — the global↔local id maps derived by
-  ``build_maps`` invert each other exactly, and incremental
-  ``extend_maps`` agrees with a from-scratch rebuild.
-* **Composite version monotonicity** — any interleaving of per-shard
-  mutations advances :attr:`ShardedStore.version` strictly, so one
-  stamp invalidates every downstream cache.
+  ``build_maps`` invert each other exactly.
+* **Composite version monotonicity** — any interleaving of the store's
+  own and its children's bumps advances :attr:`ShardedStore.version`
+  strictly, so one stamp invalidates every downstream cache.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sharding import HashPartitioner, ShardedStore, splitmix64
+from repro.storage import DenseStore
 
 shard_counts = st.integers(min_value=1, max_value=8)
 
@@ -55,22 +55,6 @@ class TestGrowthStability:
         after, _, _ = partitioner.build_maps(n_rows + extra)
         assert np.array_equal(after[:n_rows], before)
 
-    @given(
-        n_shards=shard_counts,
-        n_rows=st.integers(0, 150),
-        extra=st.integers(0, 150),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_extend_maps_equals_rebuild(self, n_shards, n_rows, extra):
-        partitioner = HashPartitioner(n_shards)
-        base = partitioner.build_maps(n_rows)
-        extended = partitioner.extend_maps(*base, extra)
-        rebuilt = partitioner.build_maps(n_rows + extra)
-        assert np.array_equal(extended[0], rebuilt[0])
-        assert np.array_equal(extended[1], rebuilt[1])
-        for ext_rows, new_rows in zip(extended[2], rebuilt[2]):
-            assert np.array_equal(ext_rows, new_rows)
-
 
 class TestMapRoundTrip:
     @given(n_shards=shard_counts, n_rows=st.integers(0, 300))
@@ -94,9 +78,6 @@ mutations = st.lists(
     st.one_of(
         st.tuples(st.just("bump"), st.just(0)),
         st.tuples(st.just("child_bump"), st.integers(0, 3)),
-        st.tuples(st.just("put_row"), st.integers(0, 11)),
-        st.tuples(st.just("set_matrix"), st.just(0)),
-        st.tuples(st.just("grow"), st.integers(1, 3)),
     ),
     min_size=1,
     max_size=12,
@@ -108,21 +89,16 @@ class TestCompositeVersion:
     @settings(max_examples=40, deadline=None)
     def test_strictly_monotone_under_interleaved_mutations(self, ops):
         rng = np.random.default_rng(7)
-        store = ShardedStore(4)
-        store.set_matrix("center", rng.normal(size=(12, 4)))
-        store.set_matrix("context", rng.normal(size=(12, 4)))
+        _, _, shard_rows = HashPartitioner(4).build_maps(12)
+        store = ShardedStore.from_children(
+            DenseStore(rng.normal(size=(len(rows), 4)), None)
+            for rows in shard_rows
+        )
         seen = store.version
         for op, arg in ops:
             if op == "bump":
                 store.bump()
-            elif op == "child_bump":
+            else:
                 store.children[arg].bump()
-            elif op == "put_row":
-                store.put_row(arg % store.n_rows, rng.normal(size=4))
-            elif op == "set_matrix":
-                store.set_matrix("center", rng.normal(size=(store.n_rows, 4)))
-            elif op == "grow":
-                block = rng.normal(size=(arg, 4))
-                store.grow(block, block)
             assert store.version > seen
             seen = store.version

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import QueryEngine
+from repro.core import QueryEngine, load_bundle, save_bundle
 from repro.sharding.engine import (
     ShardedIndexedQueryEngine,
     ShardedQueryEngine,
@@ -55,9 +55,11 @@ class TestExactParity:
                 exact.neighbors(zero, modality, 7)
             )
 
-    def test_auto_detects_store_sharding(self, tiny_actor, store_shards):
-        engine = ShardedQueryEngine(tiny_actor)
-        assert engine.n_shards == store_shards
+    def test_auto_detects_store_sharding(self, tiny_actor, tmp_path):
+        assert ShardedQueryEngine(tiny_actor).n_shards == 1
+        save_bundle(tiny_actor, tmp_path / "v3", shards=3)
+        engine = ShardedQueryEngine(load_bundle(tmp_path / "v3"))
+        assert engine.n_shards == 3
 
 
 class TestStages:

@@ -1,25 +1,41 @@
-"""Backend-agnostic contract tests for the embedding storage layer.
+"""Contract tests for the embedding storage layer.
 
-Every test in :class:`TestStoreContract` runs against all three backends
-(dense, shared, mmap); backend-specific behavior (persistence, pickling
-semantics, read-only enforcement, segment cleanup) lives in the dedicated
-classes below.
+:class:`TestStoreContract` runs the read contract on every store — a
+:class:`DenseStore`, the store a legacy shared-memory pickle loads into,
+and a read-only :class:`MmapStore` over ``np.save`` sidecars — and the
+write contract on the two writable ones.  Store-specific behavior
+(read-only enforcement, pickling semantics, segment cleanup) lives in the
+dedicated classes below.
 """
 
 import gc
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.storage import (
-    STORE_BACKENDS,
-    DenseStore,
-    MmapStore,
-    SharedMatrix,
-    SharedMemStore,
-    make_store,
-    normalize_rows,
+from repro.storage import DenseStore, MmapStore, SharedMatrix, normalize_rows
+
+# A ``SharedMemStore`` of two 3x2 matrices (center ``arange(6)``, context
+# ``-arange(6) / 4``, version 2), pickled before the shared-memory store
+# was retired; ``repro train --store shared`` models embed one.
+LEGACY_SHARED_STORE = (
+    b'\x80\x04\x95}\x01\x00\x00\x00\x00\x00\x00\x8c\x14repro.storage.shared'
+    b'\x94\x8c\x0eSharedMemStore\x94\x93\x94)\x81\x94}\x94(\x8c\x08_version'
+    b'\x94K\x02\x8c\x0b_normalized\x94}\x94\x8c\t_segments\x94}\x94(\x8c\x06ce'
+    b'nter\x94\x8c\x16numpy._core.multiarray\x94\x8c\x0c_reconstruct\x94\x93'
+    b'\x94\x8c\x05numpy\x94\x8c\x07ndarray\x94\x93\x94K\x00\x85\x94C\x01b\x94'
+    b'\x87\x94R\x94(K\x01K\x03K\x02\x86\x94h\x0e\x8c\x05dtype\x94\x93\x94\x8c'
+    b'\x02f8\x94\x89\x88\x87\x94R\x94(K\x03\x8c\x01<\x94NNNJ\xff\xff\xff\xffJ'
+    b'\xff\xff\xff\xffK\x00t\x94b\x89C0\x00\x00\x00\x00\x00\x00\x00\x00\x00'
+    b'\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00'
+    b'\x00\x00\x08@\x00\x00\x00\x00\x00\x00\x10@\x00\x00\x00\x00\x00\x00\x14@'
+    b'\x94t\x94b\x8c\x07context\x94h\rh\x10K\x00\x85\x94h\x12\x87\x94R\x94(K'
+    b'\x01K\x03K\x02\x86\x94h\x1a\x89C0\x00\x00\x00\x00\x00\x00\x00\x80\x00'
+    b'\x00\x00\x00\x00\x00\xd0\xbf\x00\x00\x00\x00\x00\x00\xe0\xbf\x00\x00\x00'
+    b'\x00\x00\x00\xe8\xbf\x00\x00\x00\x00\x00\x00\xf0\xbf\x00\x00\x00\x00\x00'
+    b'\x00\xf4\xbf\x94t\x94buub.'
 )
 
 
@@ -28,32 +44,48 @@ def _matrices(rows=8, dim=4, seed=0):
     return rng.normal(size=(rows, dim)), rng.normal(size=(rows, dim))
 
 
-@pytest.fixture(params=STORE_BACKENDS)
-def store(request, tmp_path):
-    """One store per backend, pre-loaded with deterministic matrices."""
+def _sidecars(directory, center, context):
+    """Write a format-v2 bundle's two ``.npy`` sidecars."""
+    directory.mkdir(parents=True, exist_ok=True)
+    np.save(directory / "center.npy", center)
+    np.save(directory / "context.npy", context)
+    return directory
+
+
+def _writable(kind):
     center, context = _matrices()
-    directory = tmp_path / "store" if request.param == "mmap" else None
-    s = make_store(request.param, center, context, directory=directory)
+    if kind == "dense":
+        return DenseStore(center, context)
+    store = pickle.loads(LEGACY_SHARED_STORE)
+    store.set_matrix("center", center)
+    store.set_matrix("context", context)
+    return store
+
+
+@pytest.fixture(params=["dense", "shared"])
+def writable_store(request):
+    """A writable store pre-loaded with deterministic matrices."""
+    s = _writable(request.param)
     yield s
     s.close()
 
 
-class TestMakeStore:
-    def test_backend_names(self, tmp_path):
-        assert make_store("dense").backend == "dense"
-        assert make_store("shared").backend == "shared"
-        assert make_store("mmap", directory=tmp_path / "m").backend == "mmap"
+@pytest.fixture(params=["dense", "shared", "mmap"])
+def store(request, tmp_path):
+    """Every store kind, pre-loaded with deterministic matrices."""
+    if request.param == "mmap":
+        s = MmapStore.open(_sidecars(tmp_path / "store", *_matrices()))
+    else:
+        s = _writable(request.param)
+    yield s
+    s.close()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            make_store("etcd")
 
-    def test_directory_rejected_for_ram_backends(self, tmp_path):
-        with pytest.raises(ValueError, match="directory"):
-            make_store("dense", directory=tmp_path)
-
-    def test_default_is_dense(self):
-        assert isinstance(make_store(), DenseStore)
+def _empty_like(store, tmp_path):
+    if isinstance(store, MmapStore):
+        (tmp_path / "empty").mkdir()
+        return MmapStore.open(tmp_path / "empty")
+    return DenseStore()
 
 
 class TestStoreContract:
@@ -64,8 +96,8 @@ class TestStoreContract:
         assert store.n_rows == 8
         assert store.dim == 4
 
-    def test_empty_store_raises_attribute_error(self, store):
-        empty = make_store(store.backend)
+    def test_empty_store_raises_attribute_error(self, store, tmp_path):
+        empty = _empty_like(store, tmp_path)
         with empty:
             with pytest.raises(AttributeError, match="center"):
                 empty.as_array("center")
@@ -75,13 +107,15 @@ class TestStoreContract:
         with pytest.raises(ValueError, match="matrix name"):
             store.as_array("weights")
 
-    def test_set_matrix_bumps_version(self, store):
+    def test_set_matrix_bumps_version(self, writable_store):
+        store = writable_store
         before = store.version
         store.set_matrix("center", np.zeros((8, 4)))
         assert store.version == before + 1
         np.testing.assert_array_equal(store.center, np.zeros((8, 4)))
 
-    def test_put_row_bumps_version_and_writes(self, store):
+    def test_put_row_bumps_version_and_writes(self, writable_store):
+        store = writable_store
         before = store.version
         store.put_row(3, np.arange(4, dtype=float))
         assert store.version == before + 1
@@ -92,7 +126,8 @@ class TestStoreContract:
         expected = store.context[[2, 0, 2]]
         np.testing.assert_array_equal(gathered, expected)
 
-    def test_grow_appends_and_bumps(self, store):
+    def test_grow_appends_and_bumps(self, writable_store):
+        store = writable_store
         before = store.version
         new_c = np.full((3, 4), 7.0)
         new_x = np.full((3, 4), 9.0)
@@ -121,19 +156,21 @@ class TestStoreContract:
     def test_normalized_cached_until_mutation(self, store):
         first = store.normalized("center")
         assert store.normalized("center") is first
-        store.put_row(0, np.ones(4))
+        store.bump()
         second = store.normalized("center")
         assert second is not first
         np.testing.assert_array_equal(second, normalize_rows(store.center))
 
-    def test_bump_invalidates_after_inplace_write(self, store):
+    def test_bump_invalidates_after_inplace_write(self, writable_store):
+        store = writable_store
         cached = store.normalized("center")
         store.center[0] = 5.0  # in-place SGD-style write, store unaware
         assert store.normalized("center") is cached  # stale until bump
         store.bump()
         assert store.normalized("center") is not cached
 
-    def test_coerces_to_float64(self, store):
+    def test_coerces_to_float64(self, writable_store):
+        store = writable_store
         store.set_matrix("center", np.ones((8, 4), dtype=np.float32))
         assert store.center.dtype == np.float64
 
@@ -147,7 +184,7 @@ class TestStoreContract:
             np.testing.assert_array_equal(restored.center, store.center)
             np.testing.assert_array_equal(restored.context, store.context)
             assert restored.version == store.version
-            assert restored.backend == store.backend
+            assert type(restored) is type(store)
         finally:
             restored.close()
 
@@ -178,25 +215,17 @@ class TestDenseStore:
 
 
 class TestSharedMemStore:
-    def test_inplace_put_preserves_segment(self):
-        center, context = _matrices()
-        with SharedMemStore(center, context) as store:
-            view = store.center
-            store.set_matrix("center", np.zeros((8, 4)))
-            assert store.center is view  # same pages, overwritten in place
-
-    def test_shape_change_reallocates(self):
-        center, context = _matrices()
-        with SharedMemStore(center, context) as store:
-            store.set_matrix("center", np.zeros((12, 4)))
-            assert store.center.shape == (12, 4)
-
     def test_unpickled_store_is_private(self):
-        center, context = _matrices()
-        with SharedMemStore(center, context) as store:
-            with pickle.loads(pickle.dumps(store)) as restored:
-                restored.center[0, 0] = -1.0
-                assert store.center[0, 0] == center[0, 0]
+        """A legacy shared-memory pickle loads as a plain DenseStore."""
+        store = pickle.loads(LEGACY_SHARED_STORE)
+        assert type(store) is DenseStore
+        assert store.version == 2
+        center = np.arange(6, dtype=np.float64).reshape(3, 2)
+        np.testing.assert_array_equal(store.center, center)
+        np.testing.assert_array_equal(store.context, -center / 4)
+        np.testing.assert_array_equal(
+            store.normalized("context"), normalize_rows(-center / 4)
+        )
 
     def test_segment_unlinked_when_dropped_without_close(self):
         """The weakref.finalize crash guard unlinks leaked segments."""
@@ -209,73 +238,70 @@ class TestSharedMemStore:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-    def test_store_segments_unlinked_on_drop(self):
-        from multiprocessing import shared_memory
-
-        center, context = _matrices()
-        store = SharedMemStore(center, context)
-        names = [seg._shm.name for seg in store._segments.values()]
-        del store
-        gc.collect()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
 
 class TestMmapStore:
     def test_files_on_disk(self, tmp_path):
+        """The store maps the sidecars themselves — no copy in RAM."""
         center, context = _matrices()
-        with MmapStore(center, context, directory=tmp_path / "m") as store:
-            store.flush()
-            assert (tmp_path / "m" / "center.npy").exists()
-            assert (tmp_path / "m" / "context.npy").exists()
+        directory = _sidecars(tmp_path / "m", center, context)
+        with MmapStore.open(directory) as store:
+            for name, expected in (("center", center), ("context", context)):
+                mapped = store.as_array(name)
+                assert isinstance(mapped, np.memmap)
+                assert Path(mapped.filename) == directory / f"{name}.npy"
+                np.testing.assert_array_equal(mapped, expected)
 
     def test_reopen_sees_writes(self, tmp_path):
+        """A re-export into the directory is what the next open maps."""
         center, context = _matrices()
-        store = MmapStore(center, context, directory=tmp_path / "m")
-        store.put_row(0, np.ones(4))
-        store.close()
-        with MmapStore.open(tmp_path / "m") as reopened:
-            np.testing.assert_array_equal(reopened.get_row(0), np.ones(4))
+        directory = _sidecars(tmp_path / "m", center, context)
+        MmapStore.open(directory).close()
+        _sidecars(directory, center + 1.0, context)
+        with MmapStore.open(directory) as reopened:
+            np.testing.assert_array_equal(reopened.center, center + 1.0)
             np.testing.assert_array_equal(reopened.context, context)
 
     def test_readonly_mode_rejects_writes(self, tmp_path):
         center, context = _matrices()
-        MmapStore(center, context, directory=tmp_path / "m").close()
-        with MmapStore.open(tmp_path / "m", mode="r") as ro:
+        with MmapStore.open(_sidecars(tmp_path / "m", center, context)) as ro:
+            before = ro.version
             with pytest.raises(ValueError, match="read-only"):
                 ro.set_matrix("center", np.zeros((8, 4)))
-            with pytest.raises((ValueError, OSError)):
+            with pytest.raises(ValueError, match="read-only"):
+                ro.grow(np.ones((2, 4)), np.ones((2, 4)))
+            with pytest.raises(ValueError, match="read-only"):
+                ro.put_row(0, np.ones(4))
+            with pytest.raises(ValueError, match="read-only"):
                 ro.center[0, 0] = 1.0
+            assert ro.version == before
+            np.testing.assert_array_equal(ro.center, center)
+            assert ro.n_rows == 8
 
     def test_readonly_without_directory_rejected(self):
-        with pytest.raises(ValueError, match="directory"):
-            MmapStore(mode="r")
+        with pytest.raises(TypeError, match="directory"):
+            MmapStore()
 
     def test_bad_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mode"):
-            MmapStore(directory=tmp_path, mode="w+")
-
-    def test_grow_persists_across_reopen(self, tmp_path):
-        center, context = _matrices()
-        store = MmapStore(center, context, directory=tmp_path / "m")
-        store.grow(np.ones((2, 4)), np.ones((2, 4)))
-        store.close()
-        with MmapStore.open(tmp_path / "m") as reopened:
-            assert reopened.n_rows == 10
-            np.testing.assert_array_equal(reopened.center[8:], np.ones((2, 4)))
+        """There is no writable mode to ask for."""
+        with pytest.raises(TypeError, match="mode"):
+            MmapStore(tmp_path, mode="r+")
 
     def test_no_tmp_files_left_behind(self, tmp_path):
-        center, context = _matrices()
-        with MmapStore(center, context, directory=tmp_path / "m") as store:
-            store.grow(np.ones((2, 4)), np.ones((2, 4)))
-            leftovers = list((tmp_path / "m").glob("*.tmp"))
-            assert leftovers == []
+        """Opening, reading and pickling create nothing in the bundle."""
+        directory = _sidecars(tmp_path / "m", *_matrices())
+        with MmapStore.open(directory) as store:
+            store.normalized("center")
+            pickle.loads(pickle.dumps(store)).close()
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "center.npy",
+            "context.npy",
+        ]
 
     def test_pickle_references_directory(self, tmp_path):
         """Mmap pickles carry the path, not the matrices."""
         center, context = _matrices(rows=64, dim=32)
-        with MmapStore(center, context, directory=tmp_path / "m") as store:
+        directory = _sidecars(tmp_path / "m", center, context)
+        with MmapStore.open(directory) as store:
             blob = pickle.dumps(store)
             assert len(blob) < center.nbytes  # no embedded matrix payload
             with pickle.loads(blob) as restored:

@@ -579,28 +579,6 @@ class TestExportBundle:
 
 
 class TestStoreFlags:
-    @pytest.mark.parametrize("backend", ["dense", "shared", "mmap"])
-    def test_train_with_store_backend(
-        self, corpus_path, tmp_path, backend, capsys
-    ):
-        out = tmp_path / f"actor-{backend}.pkl"
-        code = main(
-            [
-                "train",
-                "--corpus", str(corpus_path),
-                "--out", str(out),
-                "--dim", "8",
-                "--epochs", "1",
-                "--store", backend,
-            ]
-        )
-        assert code == 0
-        assert out.exists()
-        capsys.readouterr()
-        assert main(
-            ["query", "--model", str(out), "--time", "21.0", "--k", "3"]
-        ) == 0
-
     def test_evaluate_mmap_bundle(self, model_path, corpus_path, tmp_path, capsys):
         bundle_dir = tmp_path / "bundle-mmap"
         main(["export", "--model", str(model_path), "--out", str(bundle_dir)])
@@ -672,22 +650,6 @@ class TestStoreFlags:
         )
         assert code == 0
         assert "MRR" in capsys.readouterr().out
-
-    def test_stream_with_shared_store(
-        self, model_path, corpus_path, capsys
-    ):
-        code = main(
-            [
-                "stream",
-                "--model", str(model_path),
-                "--corpus", str(corpus_path),
-                "--batch-size", "200",
-                "--steps-per-batch", "5",
-                "--store", "shared",
-            ]
-        )
-        assert code == 0
-        assert "streamed" in capsys.readouterr().out
 
 
 class TestServeLoadgen:

@@ -202,3 +202,28 @@ class TestConcurrency:
             for t in threads:
                 t.join(timeout=10)
         assert errors == []
+
+
+class TestHandlerErrors:
+    def test_handler_exception_is_logged_and_counted(self, registry, capfd):
+        """A request thread's exception never reaches stderr raw."""
+        logger = StructuredLogger()
+
+        def broken() -> dict:
+            raise RuntimeError("provider failed")
+
+        counter = registry.counter("http.handler_errors")
+        with TelemetryServer(registry, logger=logger) as server:
+            server.add_status_provider(broken)
+            with pytest.raises((urllib.error.URLError, ConnectionError)):
+                urllib.request.urlopen(server.url + "/healthz", timeout=30)
+            deadline = time.monotonic() + 10.0
+            while counter.value < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert counter.value == 1
+        events = [r for r in logger.recent if r["event"] == "http.handler_error"]
+        assert len(events) == 1
+        assert events[0]["level"] == "warning"
+        assert events[0]["error"] == "RuntimeError"
+        assert events[0]["client"].startswith("127.0.0.1:")
+        assert capfd.readouterr().err == ""
