@@ -52,17 +52,12 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         type=Path,
         default=None,
         help=(
-            "Serve the batched path with tracing + slow-query logging and "
-            "dump Prometheus metrics / trace.jsonl here.  The engine then "
-            "carries span overhead, so compare timings against an "
-            "uninstrumented run, not the acceptance target."
+            "Serve the batched path with tracing and dump Prometheus "
+            "metrics / trace.jsonl here ('repro telemetry' lists the "
+            "slowest query batches).  The engine then carries span "
+            "overhead, so compare timings against an uninstrumented run, "
+            "not the acceptance target."
         ),
-    )
-    parser.add_argument(
-        "--slow-query-ms",
-        type=float,
-        default=100.0,
-        help="Slow-batch log threshold (only with --telemetry-dir).",
     )
     parser.add_argument(
         "--min-speedup",
@@ -93,12 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     tracer = Tracer() if args.telemetry_dir else None
     if args.telemetry_dir:
-        engine = QueryEngine(
-            model,
-            metrics=MetricsRegistry(),
-            tracer=tracer,
-            slow_query_threshold=args.slow_query_ms / 1e3,
-        )
+        engine = QueryEngine(model, metrics=MetricsRegistry(), tracer=tracer)
     else:
         engine = model.query_engine()
 
@@ -150,16 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
     if args.telemetry_dir:
-        written = write_telemetry(
-            args.telemetry_dir,
-            engine.metrics,
-            tracer,
-            slow_queries=list(engine.slow_queries),
-        )
+        written = write_telemetry(args.telemetry_dir, engine.metrics, tracer)
         print(
             f"telemetry: wrote {', '.join(sorted(written))} to "
-            f"{args.telemetry_dir} "
-            f"({len(engine.slow_queries)} slow batches logged)"
+            f"{args.telemetry_dir}"
         )
 
     for target, row in report["targets"].items():

@@ -4,10 +4,11 @@ A drop-in :class:`~repro.core.query_engine.QueryEngine` subclass that
 answers *full-vocabulary* retrieval (nearest-neighbor search over every
 unit of a modality) through per-modality :class:`~repro.ann.ivf.IVFIndex`
 instances instead of a dense O(V) scan.  Everything else — explicit
-candidate ranking (``rank_batch`` / ``score_ragged_batch`` /
-``score_candidates_batch``), query composition, MRR evaluation — inherits
-the exact vectorized paths unchanged; that inheritance *is* the exact
-fallback matrix ``repro evaluate --ann`` relies on for Table-2 parity.
+candidate ranking (``rank_batch`` / ``score_ragged_batch``), query
+composition, MRR evaluation — inherits the exact vectorized paths
+unchanged; that inheritance *is* the exact fallback matrix ``repro
+evaluate --ann`` relies on for Table-2 parity.  Every modality in
+:data:`ANN_MODALITIES` gets an index; ``user`` neighbors stay exact.
 
 Freshness: every index is stamped with the same
 ``(model.query_version, id(model.center))`` key the engine's modality
@@ -55,14 +56,12 @@ class IndexedQueryEngine(QueryEngine):
     nprobe:
         Default cells probed per query; raise toward ``nlist`` for
         recall, lower for speed (``nprobe == nlist`` is exact coverage).
-    ann_modalities:
-        Modalities that get an index; the rest fall back to the exact
-        path.
-    index_seed / train_sample / kmeans_iters:
-        Quantizer build parameters (see :class:`~repro.ann.ivf.IVFIndex`).
     **engine_kwargs:
         Forwarded to :class:`~repro.core.query_engine.QueryEngine`
-        (metrics, tracer, logger, slow-query settings).
+        (metrics, tracer).
+
+    Each index is built with :class:`~repro.ann.ivf.IVFIndex`'s default
+    seed, training sample and k-means iterations.
     """
 
     def __init__(
@@ -71,27 +70,13 @@ class IndexedQueryEngine(QueryEngine):
         *,
         nlist: int = 256,
         nprobe: int = 8,
-        ann_modalities: tuple[str, ...] = ANN_MODALITIES,
-        index_seed: int = 0,
-        train_sample: int = 65_536,
-        kmeans_iters: int = 10,
         **engine_kwargs,
     ) -> None:
         super().__init__(model, **engine_kwargs)
         check_positive("nlist", nlist)
         check_positive("nprobe", nprobe)
-        unknown = set(ann_modalities) - set(ANN_MODALITIES)
-        if unknown:
-            raise ValueError(
-                f"ann_modalities must be drawn from {ANN_MODALITIES}, "
-                f"got unknown {sorted(unknown)}"
-            )
         self.nlist = int(nlist)
         self.nprobe = int(nprobe)
-        self.ann_modalities = tuple(ann_modalities)
-        self.index_seed = int(index_seed)
-        self.train_sample = int(train_sample)
-        self.kmeans_iters = int(kmeans_iters)
         # modality -> (stamp, IVFIndex); stamp mirrors the modality-cache
         # key so index and cache can never disagree about freshness.
         self._indexes: dict[str, tuple[tuple, IVFIndex]] = {}
@@ -110,10 +95,10 @@ class IndexedQueryEngine(QueryEngine):
         invalidation rule as
         :meth:`~repro.core.prediction.GraphEmbeddingModel.modality_cache`.
         """
-        if modality not in self.ann_modalities:
+        if modality not in ANN_MODALITIES:
             raise ValueError(
                 f"modality {modality!r} is not ANN-indexed "
-                f"(indexed: {self.ann_modalities})"
+                f"(indexed: {ANN_MODALITIES})"
             )
         # Resolving the cache first refreshes normalized rows AND the
         # version stamp in one step, so the index is built from exactly
@@ -125,12 +110,7 @@ class IndexedQueryEngine(QueryEngine):
             return entry[1]
         with self._stage("ann.build", modality=modality):
             index = IVFIndex(
-                cache.normalized,
-                nlist=self.nlist,
-                nprobe=self.nprobe,
-                seed=self.index_seed,
-                train_sample=self.train_sample,
-                kmeans_iters=self.kmeans_iters,
+                cache.normalized, nlist=self.nlist, nprobe=self.nprobe
             )
             self.metrics.counter("ann.index_builds").inc()
             self.metrics.gauge(f"ann.index_rows.{modality}").set(
@@ -155,7 +135,7 @@ class IndexedQueryEngine(QueryEngine):
         return {
             "nlist": self.nlist,
             "nprobe": self.nprobe,
-            "modalities": list(self.ann_modalities),
+            "modalities": list(ANN_MODALITIES),
             "indexes": indexes,
         }
 
@@ -211,11 +191,11 @@ class IndexedQueryEngine(QueryEngine):
         """ANN override of the exact engine-level neighbor search.
 
         Indexed modalities ride :meth:`search`; anything outside
-        ``ann_modalities`` (e.g. ``user``), or a modality with no units
+        :data:`ANN_MODALITIES` (``user``), or a modality with no units
         to index, falls back to the exact dense scan, so the engine
         answers every modality either way.
         """
-        if modality not in self.ann_modalities:
+        if modality not in ANN_MODALITIES:
             return super().neighbors(query_vec, modality, k)
         if not self.model.modality_cache(modality).keys:
             return super().neighbors(query_vec, modality, k)

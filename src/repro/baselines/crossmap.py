@@ -15,8 +15,6 @@ initialization.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.baselines.base import SpatiotemporalModel
@@ -38,7 +36,7 @@ _BASE_TYPES = (EdgeType.TL, EdgeType.LW, EdgeType.WT, EdgeType.WW,
 _USER_TYPES = (EdgeType.UT, EdgeType.UL, EdgeType.UW)
 
 
-class CrossMap(SpatiotemporalModel, GraphEmbeddingModel):
+class CrossMap(GraphEmbeddingModel, SpatiotemporalModel):
     """Flat cross-modal embedding over the activity graph.
 
     Parameters
@@ -123,22 +121,3 @@ class CrossMap(SpatiotemporalModel, GraphEmbeddingModel):
                     )
                 step += batches
         return self
-
-    def score_candidates(
-        self,
-        *,
-        target: str,
-        candidates: Sequence,
-        time: float | None = None,
-        location: tuple[float, float] | None = None,
-        words: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """Cosine candidate scores (see :class:`SpatiotemporalModel`)."""
-        return GraphEmbeddingModel.score_candidates(
-            self,
-            target=target,
-            candidates=candidates,
-            time=time,
-            location=location,
-            words=words,
-        )

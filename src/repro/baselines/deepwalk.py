@@ -16,8 +16,6 @@ Both treat the activity graph as homogeneous (types ignored), like LINE.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.baselines.base import SpatiotemporalModel
@@ -70,7 +68,7 @@ class _HomogeneousAdjacency:
         return set(array.tolist()) if array is not None else set()
 
 
-class DeepWalk(SpatiotemporalModel, GraphEmbeddingModel):
+class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
     """Uniform truncated random walks + skip-gram over the activity graph.
 
     Parameters
@@ -199,27 +197,6 @@ class DeepWalk(SpatiotemporalModel, GraphEmbeddingModel):
                 sgns_step(
                     self.center, self.context, batch[:, 0], batch[:, 1], neg, lr
                 )
-
-    # ----------------------------------------------------------------- score
-
-    def score_candidates(
-        self,
-        *,
-        target: str,
-        candidates: Sequence,
-        time: float | None = None,
-        location: tuple[float, float] | None = None,
-        words: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """Cosine candidate scores (see :class:`SpatiotemporalModel`)."""
-        return GraphEmbeddingModel.score_candidates(
-            self,
-            target=target,
-            candidates=candidates,
-            time=time,
-            location=location,
-            words=words,
-        )
 
 
 class Node2Vec(DeepWalk):

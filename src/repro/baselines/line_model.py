@@ -12,10 +12,6 @@ user-to-unit edges.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-import numpy as np
-
 from repro.baselines.base import SpatiotemporalModel
 from repro.core.prediction import GraphEmbeddingModel
 from repro.data.records import Corpus
@@ -31,7 +27,7 @@ _UNIT_TYPES = (EdgeType.TL, EdgeType.LW, EdgeType.WT, EdgeType.WW)
 _USER_TYPES = (EdgeType.UT, EdgeType.UL, EdgeType.UW)
 
 
-class LineModel(SpatiotemporalModel, GraphEmbeddingModel):
+class LineModel(GraphEmbeddingModel, SpatiotemporalModel):
     """Homogeneous LINE embedding of the (pooled) activity graph.
 
     Parameters
@@ -106,22 +102,3 @@ class LineModel(SpatiotemporalModel, GraphEmbeddingModel):
         self.center = line.embeddings
         self.context = line.context
         return self
-
-    def score_candidates(
-        self,
-        *,
-        target: str,
-        candidates: Sequence,
-        time: float | None = None,
-        location: tuple[float, float] | None = None,
-        words: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """Cosine candidate scores (see :class:`SpatiotemporalModel`)."""
-        return GraphEmbeddingModel.score_candidates(
-            self,
-            target=target,
-            candidates=candidates,
-            time=time,
-            location=location,
-            words=words,
-        )

@@ -12,8 +12,6 @@ the sparse user interaction graph are reported to be ineffective).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.baselines.base import SpatiotemporalModel
@@ -72,7 +70,7 @@ class _TypedAdjacency:
         return int(neighbors[table.sample_one(seed=rng)])
 
 
-class MetaPath2Vec(SpatiotemporalModel, GraphEmbeddingModel):
+class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
     """Meta-path-guided random walks + heterogeneous skip-gram.
 
     Parameters
@@ -233,24 +231,3 @@ class MetaPath2Vec(SpatiotemporalModel, GraphEmbeddingModel):
                 sgns_step(
                     self.center, self.context, batch[:, 0], batch[:, 1], neg, lr
                 )
-
-    # ----------------------------------------------------------------- score
-
-    def score_candidates(
-        self,
-        *,
-        target: str,
-        candidates: Sequence,
-        time: float | None = None,
-        location: tuple[float, float] | None = None,
-        words: Sequence[str] | None = None,
-    ) -> np.ndarray:
-        """Cosine candidate scores (see :class:`SpatiotemporalModel`)."""
-        return GraphEmbeddingModel.score_candidates(
-            self,
-            target=target,
-            candidates=candidates,
-            time=time,
-            location=location,
-            words=words,
-        )

@@ -37,7 +37,8 @@ Usage (also available as ``python -m repro``)::
 Prometheus text-format ``metrics.prom`` plus a ``trace.jsonl`` span dump
 (and, for ``stream``, structured ``events.jsonl`` logs and drift
 ``alerts.jsonl``) to ``DIR`` (see ``docs/observability.md``);
-``repro telemetry`` pretty-prints such a directory.
+``repro telemetry`` pretty-prints such a directory, down to the span
+trees of the slowest ``query.batch`` calls.
 ``--serve-metrics PORT`` (on ``stream`` and ``evaluate``) additionally
 serves the *live* registry over HTTP — ``/metrics`` for Prometheus
 scrapes, ``/healthz`` for liveness probes, ``/varz`` for raw debug state —
@@ -74,11 +75,12 @@ from repro.utils.logging import StructuredLogger
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.telemetry import (
     read_telemetry,
+    render_span_tree,
     render_trace_summary,
     write_telemetry,
 )
 from repro.utils.telemetry_server import TelemetryServer
-from repro.utils.tracing import NULL_TRACER, Tracer
+from repro.utils.tracing import NULL_TRACER, Tracer, walk_spans
 
 __all__ = ["main", "build_parser"]
 
@@ -150,13 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument(
         "--telemetry-dir", metavar="DIR",
-        help="write Prometheus metrics, a span trace and the slow-query "
-        "log to DIR",
-    )
-    ev.add_argument(
-        "--slow-query-ms", type=float, default=100.0, metavar="MS",
-        help="slow-query log threshold per batch, in milliseconds "
-        "(default: 100; effective only with --telemetry-dir)",
+        help="write Prometheus metrics + a JSONL span trace to DIR "
+        "('repro telemetry' lists its slowest query batches)",
     )
     ev.add_argument(
         "--serve-metrics", type=int, metavar="PORT",
@@ -387,18 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-request-trace", action="store_true",
-        help="disable per-request tracing (the /debug/requests ring and "
-        "stage attribution); request-id headers and SLO accounting stay on",
+        help="disable per-request tracing: the /debug/requests ring, "
+        "stage attribution and the X-Request-Id / X-Queue-Wait-Ms "
+        "response headers; SLO accounting stays on",
     )
     serve.add_argument(
         "--trace-ring-size", type=int, default=256, metavar="N",
         help="finished requests retained in the /debug/requests ring "
         "(default: 256)",
-    )
-    serve.add_argument(
-        "--slow-request-ms", type=float, default=100.0, metavar="MS",
-        help="duration above which a request counts as slow in the "
-        "trace ring's snapshot (default: 100)",
     )
     serve.add_argument(
         "--slo-availability-target", type=float, default=0.999,
@@ -683,7 +676,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             model,
             metrics=MetricsRegistry(),
             tracer=Tracer(),
-            slow_query_threshold=args.slow_query_ms / 1e3,
             **engine_kwargs,
         )
         # The eval path resolves model.query_engine(); pre-seed its cache
@@ -694,11 +686,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         model._query_engine = engine
     server = None
     if args.serve_metrics is not None:
-        server = TelemetryServer(
-            engine.metrics,
-            port=args.serve_metrics,
-            slow_queries=engine.slow_queries,
-        )
+        server = TelemetryServer(engine.metrics, port=args.serve_metrics)
         server.start()
         print(
             f"serving live telemetry on {server.url} "
@@ -713,10 +701,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(format_table(["task", "MRR"], rows, title=f"MRR ({args.corpus})"))
     if engine is not None and args.telemetry_dir:
         written = write_telemetry(
-            args.telemetry_dir,
-            engine.metrics,
-            engine.tracer,
-            slow_queries=list(engine.slow_queries),
+            args.telemetry_dir, engine.metrics, engine.tracer
         )
         print(f"wrote telemetry to {', '.join(sorted(written))}")
     return 0
@@ -950,7 +935,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ann_nprobe=args.ann_nprobe,
         trace_requests=not args.no_request_trace,
         trace_ring_size=args.trace_ring_size,
-        slow_request_ms=args.slow_request_ms,
         slo_availability_target=args.slo_availability_target,
         slo_latency_target=args.slo_latency_target,
         slo_latency_threshold_ms=args.slo_latency_threshold_ms,
@@ -1167,12 +1151,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     dump = read_telemetry(args.dir)
-    if (
-        dump["metrics_text"] is None
-        and not dump["spans"]
-        and not dump["slow_queries"]
-        and not dump["alerts"]
-    ):
+    if dump["metrics_text"] is None and not (dump["spans"] or dump["alerts"]):
         print(f"no telemetry found in {args.dir}", file=sys.stderr)
         return 2
     if args.raw:
@@ -1188,23 +1167,23 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         print(f"metrics.prom: {samples} samples")
     if dump["spans"]:
         print(render_trace_summary(dump["spans"]))
-    if dump["slow_queries"]:
-        rows = [
-            [
-                entry.get("op", "?"),
-                entry.get("target", "?"),
-                entry.get("n_queries", 0),
-                entry.get("per_query_ms", 0.0),
-            ]
-            for entry in dump["slow_queries"]
-        ]
-        print(
-            format_table(
-                ["op", "target", "queries", "ms/query"],
-                rows,
-                title="slow queries",
-            )
+    batches = sorted(
+        (
+            span
+            for _depth, span in walk_spans(dump["spans"])
+            if span.name == "query.batch" and span.duration is not None
+        ),
+        key=lambda span: span.duration,
+        reverse=True,
+    )
+    if batches:
+        title = (
+            f"slowest query.batch spans ({min(5, len(batches))} of "
+            f"{len(batches)})"
         )
+        print(f"{title}\n{'-' * len(title)}")
+        for span in batches[:5]:
+            print(render_span_tree(span))
     if dump["alerts"]:
         rows = [
             [

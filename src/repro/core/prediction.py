@@ -220,10 +220,6 @@ class GraphEmbeddingModel:
         """Embedding dimension."""
         return self.center.shape[1]
 
-    def node_vector(self, node: int) -> np.ndarray:
-        """Center vector of a dense graph node index."""
-        return self.center[node]
-
     def unit_vector(self, modality: str, value) -> np.ndarray | None:
         """Embed one raw value of ``modality``; ``None`` if unmappable.
 

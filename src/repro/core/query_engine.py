@@ -37,7 +37,6 @@ are timed once into their ``*_seconds`` histogram, their span and — inside
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Hashable, Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.core.prediction import (
     GraphEmbeddingModel,
     normalize_rows,
 )
-from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 from repro.utils.tracing import NULL_TRACER, stage
 
@@ -108,17 +106,6 @@ class QueryEngine:
         ``query.batch`` span (``op`` names the entry point) with
         ``query.embed`` (``query.snap`` / ``query.gather`` children) and
         ``query.score`` children.  Defaults to the no-op tracer.
-    slow_query_threshold:
-        Batch wall-time threshold in **seconds**; batches slower than this
-        are appended to :attr:`slow_queries` (and counted under
-        ``query.slow_batches``).  ``None`` disables the slow-query log.
-    slow_query_log_size:
-        Maximum retained slow-query entries (oldest evicted first).
-    logger:
-        Optional :class:`~repro.utils.logging.StructuredLogger`; slow
-        batches additionally emit a rate-limited ``query.slow_batch``
-        warning.  Defaults to the no-op
-        :data:`~repro.utils.logging.NULL_LOGGER`.
     """
 
     def __init__(
@@ -127,22 +114,12 @@ class QueryEngine:
         *,
         metrics: MetricsRegistry | None = None,
         tracer=None,
-        slow_query_threshold: float | None = None,
-        slow_query_log_size: int = 32,
-        logger=None,
     ) -> None:
         if metrics is None:
             metrics = getattr(model, "metrics", None)
         self.model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.logger = logger if logger is not None else NULL_LOGGER
-        if slow_query_threshold is not None and slow_query_threshold < 0:
-            raise ValueError(
-                f"slow_query_threshold must be >= 0, got {slow_query_threshold}"
-            )
-        self.slow_query_threshold = slow_query_threshold
-        self.slow_queries: deque[dict] = deque(maxlen=int(slow_query_log_size))
 
     @property
     def dim(self) -> int:
@@ -307,60 +284,6 @@ class QueryEngine:
 
     # ----------------------------------------------------------- score level
 
-    def score_candidates_batch(
-        self,
-        *,
-        target: str,
-        candidates: Sequence,
-        times: Sequence[float | None] | None = None,
-        locations: Sequence | None = None,
-        words: Sequence[Sequence[str] | None] | None = None,
-    ) -> np.ndarray:
-        """Cosine scores of a shared candidate list for many queries.
-
-        Returns an ``(n_queries, n_candidates)`` block computed as one
-        matrix product between the normalized query and candidate
-        matrices.  Row ``i`` equals
-        :meth:`GraphEmbeddingModel.score_candidates` for query ``i`` up to
-        last-ulp rounding (exact ties are preserved bit-for-bit).
-        """
-        with self._stage(
-            "query.batch",
-            op="score_candidates_batch",
-            target=target,
-            n_candidates=len(candidates),
-        ) as batch:
-            with self._stage("query.embed"):
-                queries = normalize_rows(
-                    self.query_matrix(
-                        times=times, locations=locations, words=words
-                    )
-                )
-                cands = normalize_rows(
-                    self.candidate_matrix(target, candidates)
-                )
-            with self._stage("query.score", key="score"):
-                block = queries @ cands.T
-            self.metrics.counter("query.queries").inc(queries.shape[0])
-        self._record_batch(
-            op="score_candidates_batch",
-            target=target,
-            n_queries=int(queries.shape[0]),
-            seconds=batch.seconds,
-            modalities={
-                "time": sum(1 for t in times if t is not None)
-                if times is not None
-                else 0,
-                "location": sum(1 for l in locations if l is not None)
-                if locations is not None
-                else 0,
-                "word": sum(1 for w in words if w is not None)
-                if words is not None
-                else 0,
-            },
-        )
-        return block
-
     def score_ragged_batch(
         self,
         *,
@@ -372,9 +295,8 @@ class QueryEngine:
     ) -> list[np.ndarray]:
         """Cosine scores when every query brings its *own* candidate list.
 
-        The serving path's workhorse: :meth:`score_candidates_batch`
-        requires one shared candidate list, but coalesced client requests
-        each carry their own.  The candidate lists are flattened into a
+        The serving path's workhorse: coalesced client requests each
+        carry their own candidate list.  The lists are flattened into a
         single :meth:`candidate_matrix` gather and scored with one
         row-wise ``einsum`` against the repeated query rows, then split
         back per query.
@@ -393,7 +315,7 @@ class QueryEngine:
             op="score_ragged_batch",
             target=target,
             n_queries=len(candidates),
-        ) as batch:
+        ):
             with self._stage("query.embed"):
                 query_mat = normalize_rows(
                     self.query_matrix(
@@ -419,25 +341,7 @@ class QueryEngine:
                 )
             self.metrics.counter("query.queries").inc(len(candidates))
             splits = np.cumsum(counts[:-1])
-            out = [np.asarray(block) for block in np.split(scores, splits)]
-        self._record_batch(
-            op="score_ragged_batch",
-            target=target,
-            n_queries=len(candidates),
-            seconds=batch.seconds,
-            modalities={
-                "time": sum(1 for t in times if t is not None)
-                if times is not None
-                else 0,
-                "location": sum(1 for l in locations if l is not None)
-                if locations is not None
-                else 0,
-                "word": sum(1 for w in words if w is not None)
-                if words is not None
-                else 0,
-            },
-        )
-        return out
+            return [np.asarray(block) for block in np.split(scores, splits)]
 
     def neighbors(
         self, query_vec, modality: str, k: int = 10
@@ -466,7 +370,7 @@ class QueryEngine:
         """
         with self._stage(
             "query.batch", op="rank_batch", n_queries=len(queries)
-        ) as batch:
+        ):
             ranks = np.empty(len(queries), dtype=np.int64)
             by_target: dict[str, list[int]] = {}
             for i, query in enumerate(queries):
@@ -474,47 +378,7 @@ class QueryEngine:
             for target, indices in by_target.items():
                 group = [queries[i] for i in indices]
                 ranks[indices] = self._rank_group(target, group)
-        self._record_batch(
-            op="rank_batch",
-            target="+".join(sorted(by_target)),
-            n_queries=len(queries),
-            seconds=batch.seconds,
-            modalities={
-                "time": sum(1 for q in queries if q.time is not None),
-                "location": sum(
-                    1 for q in queries if q.location is not None
-                ),
-                "word": sum(1 for q in queries if q.words is not None),
-            },
-        )
         return ranks
-
-    def _record_batch(
-        self,
-        *,
-        op: str,
-        target: str,
-        n_queries: int,
-        seconds: float,
-        modalities: dict[str, int],
-    ) -> None:
-        """Log one batch, timed by its ``query.batch`` stage, when it ran
-        slower than the threshold."""
-        threshold = self.slow_query_threshold
-        if threshold is not None and seconds > threshold:
-            self.metrics.counter("query.slow_batches").inc()
-            entry = {
-                "op": op,
-                "target": target,
-                "n_queries": int(n_queries),
-                "seconds": round(seconds, 6),
-                "per_query_ms": round(
-                    seconds * 1e3 / max(1, n_queries), 4
-                ),
-                "modalities": modalities,
-            }
-            self.slow_queries.append(entry)
-            self.logger.warning("query.slow_batch", **entry)
 
     def _rank_group(self, target: str, queries: Sequence) -> np.ndarray:
         """Truth ranks for queries sharing one target modality."""
@@ -559,11 +423,3 @@ class QueryEngine:
         if not len(queries):
             raise ValueError("queries must be non-empty")
         return float(np.mean(1.0 / self.rank_batch(queries)))
-
-    def hits_at_k(self, queries: Sequence, k: int = 1) -> float:
-        """Batched fraction of queries with the truth in the top ``k``."""
-        if not len(queries):
-            raise ValueError("queries must be non-empty")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return float(np.mean(self.rank_batch(queries) <= k))

@@ -489,13 +489,6 @@ class OnlineActor(GraphEmbeddingModel):
                 self.built.vocab.add_word(key)
         return first
 
-    def _get_or_create(self, node_type: NodeType, key: Hashable) -> int:
-        """Resolve a unit to a row, appending a fresh row when unseen."""
-        row = self._resolve(node_type, key)
-        if row is None:
-            row = self._create_rows([(node_type, key)])
-        return row
-
     def modality_rows(self, modality: str):
         """Like the base method, but includes streamed-in extra units."""
         keys, rows = super().modality_rows(modality)
@@ -732,14 +725,6 @@ class OnlineActor(GraphEmbeddingModel):
         dst = np.concatenate([d for _s, d in non_empty])
         self.buffer.add_edges(src, dst)
         return int(src.size)
-
-    def _should_admit(self, word: str) -> bool:
-        """Whether an out-of-vocabulary word gets a fresh embedding row.
-
-        Capped vocabularies refuse growth; everything else is admitted.
-        """
-        vocab = self.built.vocab
-        return vocab.max_size is None or len(vocab) < vocab.max_size
 
     def _train_burst(self) -> None:
         """Run the online SGNS steps over the recency buffer."""

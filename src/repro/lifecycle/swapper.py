@@ -120,10 +120,7 @@ class ModelSwapper:
             engine = self.server.build_engine(model)
             self.server.warm_engine(engine)
             service = QueryService(
-                model,
-                engine=engine,
-                metrics=self.server.metrics,
-                logger=self.server.logger,
+                model, engine=engine, metrics=self.server.metrics
             )
         self.logger.info(
             "lifecycle.candidate_opened", epoch=epoch, path=str(path)

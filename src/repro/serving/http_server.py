@@ -230,9 +230,6 @@ class QueryServer(TelemetryServer):
         baseline); aggregate metrics and the SLO engine keep working.
     trace_ring_size:
         Retained request entries in the trace ring.
-    slow_request_ms:
-        Advisory slow threshold stamped on ``/debug/requests`` payloads
-        (``repro tail`` uses it to label exemplars).
     slo_availability_target:
         Required non-5xx fraction (default 99.9%) of the
         :class:`~repro.utils.slo.SLOEngine` evaluated on every
@@ -265,7 +262,6 @@ class QueryServer(TelemetryServer):
         stale_after: float | None = None,
         trace_requests: bool = True,
         trace_ring_size: int = 256,
-        slow_request_ms: float = 100.0,
         slo_availability_target: float = 0.999,
         slo_latency_target: float = 0.99,
         slo_latency_threshold_ms: float = 250.0,
@@ -277,9 +273,7 @@ class QueryServer(TelemetryServer):
             logger=logger,
             stale_after=stale_after,
             trace_ring=(
-                TraceRing(int(trace_ring_size), slow_ms=float(slow_request_ms))
-                if trace_requests
-                else None
+                TraceRing(int(trace_ring_size)) if trace_requests else None
             ),
         )
         self.ann = bool(ann)
@@ -291,7 +285,7 @@ class QueryServer(TelemetryServer):
             self.metrics.gauge("ann.nlist").set(ann_nlist)
             self.metrics.gauge("ann.nprobe").set(ann_nprobe)
         self.service = QueryService(
-            model, engine=self.engine, metrics=self.metrics, logger=self.logger
+            model, engine=self.engine, metrics=self.metrics
         )
         self.max_batch = int(max_batch)
         self.batch_window_ms = float(batch_window_ms)
@@ -405,9 +399,8 @@ class QueryServer(TelemetryServer):
                 nlist=self.ann_nlist,
                 nprobe=self.ann_nprobe,
                 metrics=self.metrics,
-                logger=self.logger,
             )
-        return QueryEngine(model, metrics=self.metrics, logger=self.logger)
+        return QueryEngine(model, metrics=self.metrics)
 
     def warm_engine(self, engine) -> None:
         """Build every ANN modality index of ``engine`` up front.
@@ -420,7 +413,9 @@ class QueryServer(TelemetryServer):
         """
         if not self.ann:
             return
-        for modality in engine.ann_modalities:
+        from repro.ann import ANN_MODALITIES
+
+        for modality in ANN_MODALITIES:
             if engine.model.modality_cache(modality).keys:
                 engine.index_for(modality)
 

@@ -191,12 +191,10 @@ class TraceRing:
         *,
         error_capacity: int = 64,
         batch_capacity: int = 256,
-        slow_ms: float = 100.0,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.slow_ms = float(slow_ms)
         self._lock = threading.Lock()
         self._recent: deque[dict] = deque(maxlen=self.capacity)
         self._errors: deque[dict] = deque(maxlen=int(error_capacity))
@@ -256,7 +254,6 @@ class TraceRing:
             "recorded": self.recorded,
             "recorded_errors": self.recorded_errors,
             "recorded_batches": self.recorded_batches,
-            "slow_ms": self.slow_ms,
             "recent": list(reversed(retained[-recent:])),
             "slowest": slow,
             "errors": list(reversed(errored[-errors:])),

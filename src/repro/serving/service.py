@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.prediction import TARGETS, top_k
 from repro.core.query_engine import QueryEngine
-from repro.utils.logging import NULL_LOGGER
 from repro.utils.metrics import MetricsRegistry
 
 __all__ = [
@@ -266,8 +265,6 @@ class QueryService:
         over ``model``; one is created against ``metrics`` otherwise.
     metrics:
         Optional shared :class:`~repro.utils.metrics.MetricsRegistry`.
-    logger:
-        Optional structured logger for request-shape warnings.
     """
 
     def __init__(
@@ -276,15 +273,13 @@ class QueryService:
         *,
         engine: QueryEngine | None = None,
         metrics: MetricsRegistry | None = None,
-        logger=None,
     ) -> None:
         self.model = model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.logger = logger if logger is not None else NULL_LOGGER
         self.engine = (
             engine
             if engine is not None
-            else QueryEngine(model, metrics=self.metrics, logger=self.logger)
+            else QueryEngine(model, metrics=self.metrics)
         )
 
     # ------------------------------------------------------------- validation

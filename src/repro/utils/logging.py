@@ -1,6 +1,6 @@
 """Structured JSONL logging with trace correlation and hot-loop dedup.
 
-Operational events — a slow query batch, a drift alarm, a buffer hitting
+Operational events — a rejected request, a drift alarm, a buffer hitting
 capacity — need to land somewhere greppable *and* joinable against the
 other telemetry.  :class:`StructuredLogger` writes one JSON object per
 line with three guarantees:

@@ -2,20 +2,22 @@
 
 This module turns the in-process observability state — a
 :class:`~repro.utils.metrics.MetricsRegistry` and optionally a
-:class:`~repro.utils.tracing.Tracer` and a slow-query log — into files a
-monitoring stack can consume:
+:class:`~repro.utils.tracing.Tracer` — into files a monitoring stack can
+consume:
 
 * :func:`render_prometheus` serializes a registry in the Prometheus text
   exposition format (version 0.0.4): counters as ``*_total``, gauges
   verbatim and histograms — every duration among them — as classic
   cumulative ``_bucket{le=...}`` series with ``_sum`` / ``_count``;
 * :func:`write_telemetry` dumps a whole telemetry directory —
-  ``metrics.prom``, ``trace.jsonl``, ``slow_queries.jsonl``,
-  ``alerts.jsonl``, ``requests.jsonl`` (the serving trace ring) — which
-  is what the CLI's ``--telemetry-dir`` flags produce and the ``repro
-  telemetry`` / ``repro tail`` subcommands read back;
+  ``metrics.prom``, ``trace.jsonl``, ``alerts.jsonl``,
+  ``requests.jsonl`` (the serving trace ring) — which is what the CLI's
+  ``--telemetry-dir`` flags produce and the ``repro telemetry`` /
+  ``repro tail`` subcommands read back;
 * :func:`summarize_trace` / :func:`render_trace_summary` aggregate a span
-  forest into a per-name latency table for operator eyeballs.
+  forest into a per-name latency table for operator eyeballs, and
+  :func:`render_span_tree` outlines one tree (``repro telemetry`` prints
+  the slowest ``query.batch`` trees with it).
 
 The naming convention: registry names are dotted
 (``stream.ingest_seconds``), Prometheus names are the sanitized form under
@@ -43,14 +45,12 @@ __all__ = [
     "render_span_tree",
     "METRICS_FILENAME",
     "TRACE_FILENAME",
-    "SLOW_QUERY_FILENAME",
     "ALERTS_FILENAME",
     "REQUESTS_FILENAME",
 ]
 
 METRICS_FILENAME = "metrics.prom"
 TRACE_FILENAME = "trace.jsonl"
-SLOW_QUERY_FILENAME = "slow_queries.jsonl"
 ALERTS_FILENAME = "alerts.jsonl"
 REQUESTS_FILENAME = "requests.jsonl"
 
@@ -125,7 +125,6 @@ def write_telemetry(
     directory: str | Path,
     registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    slow_queries: list[dict] | None = None,
     *,
     alerts: list[dict] | None = None,
     requests: list[dict] | None = None,
@@ -134,15 +133,14 @@ def write_telemetry(
     """Dump a telemetry directory; returns the paths actually written.
 
     Writes ``metrics.prom`` when a registry is given, ``trace.jsonl``
-    when a (real, recording) tracer is given, ``slow_queries.jsonl`` when
-    a non-empty slow-query log is given, ``alerts.jsonl`` when a
+    when a (real, recording) tracer is given, ``alerts.jsonl`` when a
     non-empty drift-alert list is given, and ``requests.jsonl`` when a
     non-empty request-trace list (ring entries from
     :class:`~repro.serving.reqtrace.TraceRing`) is given.  The directory
     is created as needed; existing files are overwritten — and files for
     sections *absent from this call* are deleted, so one directory
-    always tracks exactly the latest run (a run with an empty slow-query
-    log must not leave a previous run's ``slow_queries.jsonl`` behind).
+    always tracks exactly the latest run (a run without drift alerts
+    must not leave a previous run's ``alerts.jsonl`` behind).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -159,12 +157,6 @@ def write_telemetry(
         written["trace"] = tracer.export_jsonl(directory / TRACE_FILENAME)
     else:
         (directory / TRACE_FILENAME).unlink(missing_ok=True)
-    if slow_queries:
-        written["slow_queries"] = _write_jsonl(
-            directory / SLOW_QUERY_FILENAME, slow_queries
-        )
-    else:
-        (directory / SLOW_QUERY_FILENAME).unlink(missing_ok=True)
     if alerts:
         written["alerts"] = _write_jsonl(directory / ALERTS_FILENAME, alerts)
     else:
@@ -195,10 +187,10 @@ def read_telemetry(directory: str | Path) -> dict:
     """Load whatever a telemetry directory contains.
 
     Returns a dict with ``metrics_text`` (raw Prometheus text or None),
-    ``spans`` (list of root :class:`Span` trees), ``slow_queries``,
-    ``alerts`` and ``requests`` (lists of dicts); missing files yield
-    empty values rather than errors, so partially populated directories
-    (e.g. train runs, which have no slow-query log) read cleanly.
+    ``spans`` (list of root :class:`Span` trees), ``alerts`` and
+    ``requests`` (lists of dicts); missing files yield empty values
+    rather than errors, so partially populated directories (e.g. train
+    runs, which have no drift alerts) read cleanly.
     """
     directory = Path(directory)
     metrics_path = directory / METRICS_FILENAME
@@ -212,7 +204,6 @@ def read_telemetry(directory: str | Path) -> dict:
     return {
         "metrics_text": metrics_text,
         "spans": spans,
-        "slow_queries": _read_jsonl(directory / SLOW_QUERY_FILENAME),
         "alerts": _read_jsonl(directory / ALERTS_FILENAME),
         "requests": _read_jsonl(directory / REQUESTS_FILENAME),
     }

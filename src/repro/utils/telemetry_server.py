@@ -18,8 +18,7 @@ Endpoints:
   drift watchdog status); overall ``"status"`` is the worst across
   sources (``ok`` < ``stale`` < ``alerting``);
 * ``GET /varz`` — raw JSON debug snapshot: the full registry
-  ``snapshot()``, recent slow queries, recent log records, provider
-  state.
+  ``snapshot()``, recent log records, provider state.
 
 It is the package's one HTTP host: the query-serving daemon
 (:class:`~repro.serving.http_server.QueryServer`) subclasses it and its
@@ -183,10 +182,6 @@ class TelemetryServer:
     host:
         Bind address; loopback by default — front with a real proxy to
         expose it beyond the machine.
-    slow_queries:
-        Optional live slow-query container (e.g.
-        :attr:`repro.core.query_engine.QueryEngine.slow_queries`); included
-        in ``/varz``.
     logger:
         Optional :class:`~repro.utils.logging.StructuredLogger`; access
         logs become ``debug`` records and its recent tail appears in
@@ -214,7 +209,6 @@ class TelemetryServer:
         *,
         port: int = 0,
         host: str = "127.0.0.1",
-        slow_queries=None,
         logger=None,
         stale_after: float | None = None,
         trace_ring=None,
@@ -224,7 +218,6 @@ class TelemetryServer:
         self.metrics = metrics
         self.requested_port = int(port)
         self.host = host
-        self.slow_queries = slow_queries
         self.logger = logger if logger is not None else NULL_LOGGER
         self.stale_after = stale_after
         self.trace_ring = trace_ring
@@ -381,11 +374,6 @@ class TelemetryServer:
             "uptime_seconds": round(self.uptime(), 3),
             "heartbeat_age_seconds": self.heartbeat_age(),
             "metrics": self.metrics.snapshot(),
-            "slow_queries": (
-                list(self.slow_queries)
-                if self.slow_queries is not None
-                else []
-            ),
             "recent_logs": list(getattr(self.logger, "recent", ())),
         }
         payload.update(merged)

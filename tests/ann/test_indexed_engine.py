@@ -67,16 +67,18 @@ class TestNeighborParity:
             )
 
     def test_unindexed_modality_falls_back_exact(self, tiny_actor):
-        narrow = IndexedQueryEngine(
-            tiny_actor, nlist=4, ann_modalities=("word",)
+        """``user`` has no index: its neighbors come from the dense scan
+        and no index is ever built for it."""
+        fresh = IndexedQueryEngine(
+            tiny_actor, nlist=4, metrics=MetricsRegistry()
         )
-        cache = tiny_actor.modality_cache("time")
+        cache = tiny_actor.modality_cache("user")
         probe = np.asarray(cache.matrix[0], dtype=float)
-        assert narrow.neighbors(probe, "time", 3) == tiny_actor.neighbors(
-            probe, "time", 3
+        assert fresh.neighbors(probe, "user", 3) == tiny_actor.neighbors(
+            probe, "user", 3
         )
-        with pytest.raises(ValueError, match="not ANN-indexed"):
-            narrow.index_for("time")
+        assert fresh.ann_status()["indexes"] == {}
+        assert fresh.metrics.counter("ann.index_builds").value == 0
 
     def test_user_modality_always_exact(self, tiny_actor, engine):
         cache = tiny_actor.modality_cache("user")
@@ -85,9 +87,10 @@ class TestNeighborParity:
             probe, "user", 3
         )
 
-    def test_rejects_unknown_ann_modality(self, tiny_actor):
-        with pytest.raises(ValueError, match="ann_modalities"):
-            IndexedQueryEngine(tiny_actor, ann_modalities=("user",))
+    def test_rejects_unknown_ann_modality(self, tiny_actor, engine):
+        assert "user" not in ANN_MODALITIES
+        with pytest.raises(ValueError, match="not ANN-indexed"):
+            engine.index_for("user")
         with pytest.raises(ValueError, match="nlist"):
             IndexedQueryEngine(tiny_actor, nlist=0)
 

@@ -17,6 +17,8 @@ import pytest
 
 from repro.serving import QueryServer
 from repro.serving.reqtrace import (
+    QUEUE_WAIT_HEADER,
+    REQUEST_ID_HEADER,
     RequestContext,
     TraceRing,
     load_request_trace,
@@ -355,8 +357,10 @@ class TestTracePropagation:
                 f"{server.url}/v1/predict", PREDICT_BODY
             )
             assert status == 200
-            # No ring, no /debug/requests...
+            # No ring, no /debug/requests, no request-id headers...
             assert server.trace_ring is None
+            assert headers.get(REQUEST_ID_HEADER) is None
+            assert headers.get(QUEUE_WAIT_HEADER) is None
             with pytest.raises(urllib.error.HTTPError):
                 _get(f"{server.url}/debug/requests")
             # ...but SLO accounting still sees the traffic.

@@ -340,9 +340,13 @@ class TestTelemetry:
         # histogram, summed in the same order.
         assert timer_sum == span_total
 
-    def test_evaluate_writes_slow_query_log(
+    def test_telemetry_prints_slowest_query_batch_trees(
         self, model_path, corpus_path, tmp_path, capsys
     ):
+        """`repro telemetry` outlines an evaluate run's slowest
+        ``query.batch`` span trees, each with its ``query.score`` child."""
+        import re
+
         tel = tmp_path / "tel"
         code = main(
             [
@@ -351,21 +355,13 @@ class TestTelemetry:
                 "--corpus", str(corpus_path),
                 "--max-queries", "20",
                 "--telemetry-dir", str(tel),
-                "--slow-query-ms", "0",  # every batch is "slow"
             ]
         )
         assert code == 0
         capsys.readouterr()
-        import json
-
-        entries = [
-            json.loads(line)
-            for line in (tel / "slow_queries.jsonl").read_text().splitlines()
+        assert sorted(p.name for p in tel.iterdir()) == [
+            "metrics.prom", "trace.jsonl"
         ]
-        assert entries
-        assert {"op", "target", "n_queries", "per_query_ms", "modalities"} <= set(
-            entries[0]
-        )
         assert "repro_query_batch_seconds_bucket" in (
             tel / "metrics.prom"
         ).read_text()
@@ -373,8 +369,24 @@ class TestTelemetry:
         code = main(["telemetry", "--dir", str(tel)])
         assert code == 0
         out = capsys.readouterr().out
-        assert "slow queries" in out
-        assert "query.batch" in out
+        # One rank_batch per task: text, location, time.
+        title = "slowest query.batch spans (3 of 3)"
+        assert title in out
+        lines = out.split(title, 1)[1].splitlines()[2:]
+        roots = [
+            float(m.group(1))
+            for m in map(re.compile(r"query\.batch  (\d+\.\d\d)ms ").match,
+                         lines)
+            if m
+        ]
+        assert len(roots) == 3
+        assert roots == sorted(roots, reverse=True)
+        scores = [
+            line for line in lines
+            if re.match(r"  query\.score  \d+\.\d\dms \{\"target\"", line)
+        ]
+        assert len(scores) == 3
+        assert any(line.startswith("    query.snap  ") for line in lines)
 
     def test_telemetry_raw_dump(self, corpus_path, tmp_path, capsys):
         tel = tmp_path / "tel"

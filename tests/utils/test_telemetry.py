@@ -9,7 +9,6 @@ from repro.utils.telemetry import (
     ALERTS_FILENAME,
     METRICS_FILENAME,
     REQUESTS_FILENAME,
-    SLOW_QUERY_FILENAME,
     TRACE_FILENAME,
     prometheus_name,
     read_telemetry,
@@ -74,25 +73,20 @@ class TestPrometheusFormat:
 
 
 class TestWriteRead:
-    def test_round_trip_with_trace_and_slow_queries(self, tmp_path):
+    def test_round_trip_with_trace(self, tmp_path):
         tracer = Tracer()
         with tracer.span("op", n=2):
             with tracer.span("child"):
                 pass
-        slow = [{"op": "rank_batch", "target": "time", "n_queries": 5}]
-        written = write_telemetry(
-            tmp_path, _golden_registry(), tracer, slow_queries=slow
-        )
-        assert set(written) == {"metrics", "trace", "slow_queries"}
+        written = write_telemetry(tmp_path, _golden_registry(), tracer)
+        assert set(written) == {"metrics", "trace"}
         assert written["metrics"].name == METRICS_FILENAME
         assert written["trace"].name == TRACE_FILENAME
-        assert written["slow_queries"].name == SLOW_QUERY_FILENAME
 
         dump = read_telemetry(tmp_path)
         assert dump["metrics_text"] == GOLDEN.read_text(encoding="utf-8")
         assert [s.name for s in dump["spans"]] == ["op"]
         assert dump["spans"][0].children[0].name == "child"
-        assert dump["slow_queries"] == slow
 
     def test_null_tracer_writes_no_trace(self, tmp_path):
         written = write_telemetry(tmp_path, _golden_registry(), NULL_TRACER)
@@ -130,22 +124,19 @@ class TestWriteRead:
             tmp_path,
             _golden_registry(),
             tracer,
-            slow_queries=[{"op": "rank_batch"}],
             alerts=[{"kind": "spatial_psi"}],
             requests=[{"kind": "request", "id": "r1"}],
         )
-        # Run 2 into the same directory: clean run, no slow queries, no
-        # alerts, no tracer.  The stale files must not survive — an
-        # operator reading the directory would attribute the previous
-        # run's slow queries to this one.
+        # Run 2 into the same directory: clean run, no alerts, no
+        # tracer.  The stale files must not survive — an operator
+        # reading the directory would attribute the previous run's
+        # alerts and spans to this one.
         written = write_telemetry(tmp_path, _golden_registry())
         assert set(written) == {"metrics"}
         dump = read_telemetry(tmp_path)
-        assert dump["slow_queries"] == []
         assert dump["alerts"] == []
         assert dump["spans"] == []
         assert dump["requests"] == []
-        assert not (tmp_path / SLOW_QUERY_FILENAME).exists()
         assert not (tmp_path / ALERTS_FILENAME).exists()
         assert not (tmp_path / TRACE_FILENAME).exists()
         assert not (tmp_path / REQUESTS_FILENAME).exists()
@@ -155,7 +146,6 @@ class TestWriteRead:
         assert dump == {
             "metrics_text": None,
             "spans": [],
-            "slow_queries": [],
             "alerts": [],
             "requests": [],
         }
