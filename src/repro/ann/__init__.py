@@ -8,8 +8,9 @@ each modality's normalized embedding matrix into inverted lists
 queries by probing only the ``nprobe`` best lists — invalidated lazily by
 the embedding store's ``version`` counter so streaming growth and
 in-place bursts stay correct.  Explicit-candidate ranking keeps the exact
-engine paths (the ``evaluate --ann`` parity guarantee); the recall /
-throughput frontier is gated by ``benchmarks/bench_ann_recall.py``.
+engine paths (Table-2 evaluation is identical under the index); the
+recall / throughput frontier is gated by
+``benchmarks/bench_ann_recall.py``.
 """
 
 from repro.ann.engine import ANN_MODALITIES, IndexedQueryEngine

@@ -6,8 +6,8 @@ unit of a modality) through per-modality :class:`~repro.ann.ivf.IVFIndex`
 instances instead of a dense O(V) scan.  Everything else — explicit
 candidate ranking (``rank_batch`` / ``score_ragged_batch``), query
 composition, MRR evaluation — inherits the exact vectorized paths
-unchanged; that inheritance *is* the exact fallback matrix ``repro
-evaluate --ann`` relies on for Table-2 parity.  Every modality in
+unchanged; that inheritance *is* the exact fallback matrix that keeps
+Table-2 ranking identical under the index.  Every modality in
 :data:`ANN_MODALITIES` gets an index; ``user`` neighbors stay exact.
 
 Freshness: every index is stamped with the same

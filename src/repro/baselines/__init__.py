@@ -1,7 +1,7 @@
 """Compared methods from the paper's Section 6.1.2 plus related-work
 homogeneous embeddings (DeepWalk / node2vec, Section 2.2)."""
 
-from repro.baselines.base import SpatiotemporalModel
+from repro.baselines.base import GraphBaseline, SpatiotemporalModel
 from repro.baselines.crossmap import CrossMap
 from repro.baselines.deepwalk import DeepWalk, Node2Vec
 from repro.baselines.lgta import LGTA
@@ -11,6 +11,7 @@ from repro.baselines.mgtm import MGTM
 
 __all__ = [
     "SpatiotemporalModel",
+    "GraphBaseline",
     "CrossMap",
     "LineModel",
     "MetaPath2Vec",

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import SpatiotemporalModel
+from repro.baselines.base import GraphBaseline
 from repro.core.hierarchical import random_init
-from repro.core.prediction import GraphEmbeddingModel
 from repro.data.records import Corpus
-from repro.data.text import Vocabulary
 from repro.embedding.edge_sampler import TypedEdgeSampler
 from repro.embedding.sgns import sgns_step
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.types import EdgeType
-from repro.hotspots.detector import HotspotDetector
 from repro.utils.rng import ensure_rng
 
 __all__ = ["CrossMap"]
@@ -36,7 +32,7 @@ _BASE_TYPES = (EdgeType.TL, EdgeType.LW, EdgeType.WT, EdgeType.WW,
 _USER_TYPES = (EdgeType.UT, EdgeType.UL, EdgeType.UW)
 
 
-class CrossMap(GraphEmbeddingModel, SpatiotemporalModel):
+class CrossMap(GraphBaseline):
     """Flat cross-modal embedding over the activity graph.
 
     Parameters
@@ -48,6 +44,8 @@ class CrossMap(GraphEmbeddingModel, SpatiotemporalModel):
     neighbor_smoothing:
         Add the LL/TT spatial/temporal continuity edges (CrossMap's
         distinguishing feature vs. plain LINE on the same graph).
+    **shared:
+        The graph settings of :class:`~repro.baselines.base.GraphBaseline`.
     """
 
     def __init__(
@@ -60,42 +58,21 @@ class CrossMap(GraphEmbeddingModel, SpatiotemporalModel):
         epochs: int = 30,
         include_users: bool = False,
         neighbor_smoothing: bool = True,
-        spatial_bandwidth: float = 0.5,
-        temporal_bandwidth: float = 0.75,
-        vocab_min_count: int = 2,
-        vocab_max_size: int | None = 20_000,
-        seed: int = 0,
+        **shared,
     ) -> None:
+        super().__init__(dim, **shared)
         self.name = "CrossMap(U)" if include_users else "CrossMap"
-        self.dim_ = int(dim)
         self.lr = float(lr)
         self.negatives = int(negatives)
         self.batch_size = int(batch_size)
         self.epochs = int(epochs)
         self.include_users = include_users
         self.neighbor_smoothing = neighbor_smoothing
-        self.spatial_bandwidth = spatial_bandwidth
-        self.temporal_bandwidth = temporal_bandwidth
-        self.vocab_min_count = vocab_min_count
-        self.vocab_max_size = vocab_max_size
-        self.seed = seed
 
     def fit(self, corpus: Corpus) -> "CrossMap":
         """Train on ``corpus`` (see :class:`SpatiotemporalModel`)."""
         rng = ensure_rng(self.seed)
-        builder = GraphBuilder(
-            detector=HotspotDetector(
-                spatial_bandwidth=self.spatial_bandwidth,
-                temporal_bandwidth=self.temporal_bandwidth,
-            ),
-            vocab=Vocabulary(
-                min_count=self.vocab_min_count, max_size=self.vocab_max_size
-            ),
-            include_users=self.include_users,
-            neighbor_smoothing=self.neighbor_smoothing,
-        )
-        self.built = builder.build(corpus)
-        activity = self.built.activity
+        activity = self.build_graphs(corpus).activity
         self.center, self.context = random_init(activity.n_nodes, self.dim_, rng)
 
         edge_types = _BASE_TYPES + (_USER_TYPES if self.include_users else ())

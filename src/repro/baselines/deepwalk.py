@@ -12,23 +12,24 @@ the extended comparison bench and as reference implementations.
   same skip-gram training.
 
 Both treat the activity graph as homogeneous (types ignored), like LINE.
+:class:`DeepWalk` owns the one walk skip-gram of the baseline suite —
+window pairs, degree^0.75 negatives through
+:class:`~repro.embedding.edge_sampler.NoiseSampler`, linearly decayed
+SGNS steps — so node2vec and metapath2vec
+(:mod:`repro.baselines.metapath2vec`) override only walk generation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import SpatiotemporalModel
+from repro.baselines.base import GraphBaseline
 from repro.core.hierarchical import random_init
-from repro.core.prediction import GraphEmbeddingModel
 from repro.data.records import Corpus
-from repro.data.text import Vocabulary
 from repro.embedding.alias import AliasTable
-from repro.embedding.edge_sampler import NOISE_POWER
+from repro.embedding.edge_sampler import NoiseSampler
 from repro.embedding.sgns import sgns_step
 from repro.graphs.activity_graph import ActivityGraph
-from repro.graphs.builder import GraphBuilder
-from repro.hotspots.detector import HotspotDetector
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive
 
@@ -68,7 +69,7 @@ class _HomogeneousAdjacency:
         return set(array.tolist()) if array is not None else set()
 
 
-class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
+class DeepWalk(GraphBaseline):
     """Uniform truncated random walks + skip-gram over the activity graph.
 
     Parameters
@@ -76,7 +77,11 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
     dim, walks_per_node, walk_length, window, negatives, lr, batch_size,
     epochs:
         Standard DeepWalk/word2vec hyper-parameters.
+    **shared:
+        The graph settings of :class:`~repro.baselines.base.GraphBaseline`.
     """
+
+    name = "DeepWalk"
 
     def __init__(
         self,
@@ -89,17 +94,12 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
         lr: float = 0.025,
         batch_size: int = 256,
         epochs: int = 1,
-        spatial_bandwidth: float = 0.5,
-        temporal_bandwidth: float = 0.75,
-        vocab_min_count: int = 2,
-        vocab_max_size: int | None = 20_000,
-        seed: int = 0,
+        **shared,
     ) -> None:
         check_positive("walks_per_node", walks_per_node)
         check_positive("walk_length", walk_length)
         check_positive("window", window)
-        self.name = "DeepWalk"
-        self.dim_ = int(dim)
+        super().__init__(dim, **shared)
         self.walks_per_node = int(walks_per_node)
         self.walk_length = int(walk_length)
         self.window = int(window)
@@ -107,31 +107,15 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
         self.lr = float(lr)
         self.batch_size = int(batch_size)
         self.epochs = int(epochs)
-        self.spatial_bandwidth = spatial_bandwidth
-        self.temporal_bandwidth = temporal_bandwidth
-        self.vocab_min_count = vocab_min_count
-        self.vocab_max_size = vocab_max_size
-        self.seed = seed
 
     # ------------------------------------------------------------------- fit
 
     def fit(self, corpus: Corpus) -> "DeepWalk":
         """Train on ``corpus`` (see :class:`SpatiotemporalModel`)."""
         rng = ensure_rng(self.seed)
-        builder = GraphBuilder(
-            detector=HotspotDetector(
-                spatial_bandwidth=self.spatial_bandwidth,
-                temporal_bandwidth=self.temporal_bandwidth,
-            ),
-            vocab=Vocabulary(
-                min_count=self.vocab_min_count, max_size=self.vocab_max_size
-            ),
-            include_users=False,
-        )
-        self.built = builder.build(corpus)
-        adjacency = _HomogeneousAdjacency(self.built.activity)
-        walks = self._generate_walks(adjacency, rng)
-        self._train_skipgram(walks, rng)
+        activity = self.build_graphs(corpus).activity
+        walks = self._generate_walks(activity, rng)
+        self._train_skipgram(self._walk_pairs(walks), rng)
         return self
 
     def _walk_from(
@@ -150,9 +134,11 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
         return walk
 
     def _generate_walks(
-        self, adjacency: _HomogeneousAdjacency, rng: np.random.Generator
+        self, activity: ActivityGraph, rng: np.random.Generator
     ) -> list[list[int]]:
-        nodes = np.arange(self.built.activity.n_nodes)
+        """``walks_per_node`` rounds of walks from every node, shuffled."""
+        adjacency = _HomogeneousAdjacency(activity)
+        nodes = np.arange(activity.n_nodes)
         walks: list[list[int]] = []
         for _round in range(self.walks_per_node):
             rng.shuffle(nodes)
@@ -160,13 +146,10 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
                 walk = self._walk_from(int(start), adjacency, rng)
                 if len(walk) > 1:
                     walks.append(walk)
-        if not walks:
-            raise RuntimeError("no walks generated; graph has no edges")
         return walks
 
-    def _train_skipgram(
-        self, walks: list[list[int]], rng: np.random.Generator
-    ) -> None:
+    def _walk_pairs(self, walks: list[list[int]]) -> np.ndarray:
+        """(center, context) node pairs within the skip-gram window."""
         pairs: list[tuple[int, int]] = []
         for walk in walks:
             for i, center in enumerate(walk):
@@ -175,25 +158,29 @@ class DeepWalk(GraphEmbeddingModel, SpatiotemporalModel):
                 for j in range(lo, hi):
                     if j != i:
                         pairs.append((center, walk[j]))
-        pair_array = np.asarray(pairs, dtype=np.int64)
+        if not pairs:
+            raise RuntimeError("no skip-gram pairs generated; graph too sparse")
+        return np.asarray(pairs, dtype=np.int64)
 
+    def _train_skipgram(
+        self, pairs: np.ndarray, rng: np.random.Generator
+    ) -> None:
+        """SGNS over shuffled ``pairs`` with global degree^0.75 negatives."""
         activity = self.built.activity
         self.center, self.context = random_init(
             activity.n_nodes, self.dim_, rng
         )
         degree = activity.total_degree()
         nodes = np.flatnonzero(degree > 0)
-        noise = AliasTable(np.power(degree[nodes], NOISE_POWER))
-        n = pair_array.shape[0]
+        noise = NoiseSampler(nodes, degree[nodes])
+        n = pairs.shape[0]
         for epoch in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
-                batch = pair_array[order[start : start + self.batch_size]]
+                batch = pairs[order[start : start + self.batch_size]]
                 progress = (epoch * n + start) / max(1, self.epochs * n)
                 lr = self.lr * max(0.1, 1.0 - progress)
-                neg = nodes[
-                    noise.sample(batch.shape[0] * self.negatives, seed=rng)
-                ].reshape(batch.shape[0], self.negatives)
+                neg = noise.sample((batch.shape[0], self.negatives), rng)
                 sgns_step(
                     self.center, self.context, batch[:, 0], batch[:, 1], neg, lr
                 )
@@ -213,11 +200,12 @@ class Node2Vec(DeepWalk):
     free reweighting per step (suitable at activity-graph degrees).
     """
 
+    name = "node2vec"
+
     def __init__(self, dim: int = 64, *, p: float = 1.0, q: float = 1.0, **kwargs) -> None:
         super().__init__(dim, **kwargs)
         check_positive("p", p)
         check_positive("q", q)
-        self.name = "node2vec"
         self.p = float(p)
         self.q = float(q)
 

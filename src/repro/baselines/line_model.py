@@ -12,14 +12,10 @@ user-to-unit edges.
 
 from __future__ import annotations
 
-from repro.baselines.base import SpatiotemporalModel
-from repro.core.prediction import GraphEmbeddingModel
+from repro.baselines.base import GraphBaseline
 from repro.data.records import Corpus
-from repro.data.text import Vocabulary
 from repro.embedding.line import LineEmbedding, merge_edge_sets
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.types import EdgeType
-from repro.hotspots.detector import HotspotDetector
 
 __all__ = ["LineModel"]
 
@@ -27,7 +23,7 @@ _UNIT_TYPES = (EdgeType.TL, EdgeType.LW, EdgeType.WT, EdgeType.WW)
 _USER_TYPES = (EdgeType.UT, EdgeType.UL, EdgeType.UW)
 
 
-class LineModel(GraphEmbeddingModel, SpatiotemporalModel):
+class LineModel(GraphBaseline):
     """Homogeneous LINE embedding of the (pooled) activity graph.
 
     Parameters
@@ -38,6 +34,8 @@ class LineModel(GraphEmbeddingModel, SpatiotemporalModel):
         LINE proximity order (2 by default, the stronger variant).
     n_samples:
         Total edge samples; ``None`` scales with the graph's edge count.
+    **shared:
+        The graph settings of :class:`~repro.baselines.base.GraphBaseline`.
     """
 
     def __init__(
@@ -50,40 +48,20 @@ class LineModel(GraphEmbeddingModel, SpatiotemporalModel):
         batch_size: int = 256,
         n_samples: int | None = None,
         include_users: bool = False,
-        spatial_bandwidth: float = 0.5,
-        temporal_bandwidth: float = 0.75,
-        vocab_min_count: int = 2,
-        vocab_max_size: int | None = 20_000,
-        seed: int = 0,
+        **shared,
     ) -> None:
+        super().__init__(dim, **shared)
         self.name = "LINE(U)" if include_users else "LINE"
-        self.dim_ = int(dim)
         self.order = order
         self.negatives = negatives
         self.lr = lr
         self.batch_size = batch_size
         self.n_samples = n_samples
         self.include_users = include_users
-        self.spatial_bandwidth = spatial_bandwidth
-        self.temporal_bandwidth = temporal_bandwidth
-        self.vocab_min_count = vocab_min_count
-        self.vocab_max_size = vocab_max_size
-        self.seed = seed
 
     def fit(self, corpus: Corpus) -> "LineModel":
         """Train on ``corpus`` (see :class:`SpatiotemporalModel`)."""
-        builder = GraphBuilder(
-            detector=HotspotDetector(
-                spatial_bandwidth=self.spatial_bandwidth,
-                temporal_bandwidth=self.temporal_bandwidth,
-            ),
-            vocab=Vocabulary(
-                min_count=self.vocab_min_count, max_size=self.vocab_max_size
-            ),
-            include_users=self.include_users,
-        )
-        self.built = builder.build(corpus)
-        activity = self.built.activity
+        activity = self.build_graphs(corpus).activity
         edge_types = _UNIT_TYPES + (_USER_TYPES if self.include_users else ())
         pooled = merge_edge_sets([activity.edge_set(et) for et in edge_types])
         n_samples = self.n_samples

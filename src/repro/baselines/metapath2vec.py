@@ -2,31 +2,27 @@
 
 A heterogeneous graph embedding that generates random walks constrained to
 a *meta-path* — a cyclic sequence of vertex types — and trains skip-gram
-with negative sampling on the walk windows.
+with negative sampling on the walk windows.  It is a
+:class:`~repro.baselines.deepwalk.DeepWalk` that overrides only walk
+generation: the window pairs, the global degree^0.75 noise (plain
+metapath2vec; the ++ variant would restrict negatives to the context
+type) and the SGNS schedule are DeepWalk's.
 
 Following the paper's experimental notes (Section 6.2.3), the default
 meta-path is ``L - W - T - W`` with window size 3 and 5 negative samples;
 the walks run on the activity graph without user vertices (random walks on
-the sparse user interaction graph are reported to be ineffective).
+the sparse user interaction graph are reported to be ineffective).  A
+pattern containing ``U`` builds the graph with user vertices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import SpatiotemporalModel
-from repro.core.hierarchical import random_init
-from repro.core.prediction import GraphEmbeddingModel
-from repro.data.records import Corpus
-from repro.data.text import Vocabulary
+from repro.baselines.deepwalk import DeepWalk
 from repro.embedding.alias import AliasTable
-from repro.embedding.edge_sampler import NOISE_POWER
-from repro.embedding.sgns import sgns_step
 from repro.graphs.activity_graph import ActivityGraph
-from repro.graphs.builder import GraphBuilder
 from repro.graphs.types import NodeType, edge_type_between
-from repro.hotspots.detector import HotspotDetector
-from repro.utils.rng import ensure_rng
 
 __all__ = ["MetaPath2Vec"]
 
@@ -70,7 +66,7 @@ class _TypedAdjacency:
         return int(neighbors[table.sample_one(seed=rng)])
 
 
-class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
+class MetaPath2Vec(DeepWalk):
     """Meta-path-guided random walks + heterogeneous skip-gram.
 
     Parameters
@@ -79,13 +75,19 @@ class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
         Cyclic vertex-type pattern, e.g. ``"LWTW"`` (the paper's best for
         UTGEO2011/TWEET; ``"TLWW"`` is also reported for 4SQ).
     walks_per_node / walk_length:
-        Walk generation budget, starting from every node of the meta-path's
-        first type.
+        Walk generation budget, starting from every node of each type the
+        meta-path visits.
     window:
         Skip-gram context window over the walks (paper: 3).
-    negatives:
-        Negative samples per pair (paper: 5).
+    epochs:
+        Passes over the walk pairs.
+    **kwargs:
+        :class:`~repro.baselines.deepwalk.DeepWalk`'s remaining settings
+        (``negatives`` — paper: 5 — ``lr``, ``batch_size`` and the shared
+        graph settings), with DeepWalk's defaults.
     """
+
+    name = "metapath2vec"
 
     def __init__(
         self,
@@ -95,15 +97,8 @@ class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
         walks_per_node: int = 8,
         walk_length: int = 40,
         window: int = 3,
-        negatives: int = 5,
-        lr: float = 0.025,
-        batch_size: int = 256,
         epochs: int = 2,
-        spatial_bandwidth: float = 0.5,
-        temporal_bandwidth: float = 0.75,
-        vocab_min_count: int = 2,
-        vocab_max_size: int | None = 20_000,
-        seed: int = 0,
+        **kwargs,
     ) -> None:
         if not meta_path or any(c not in _TYPE_OF_LETTER for c in meta_path):
             raise ValueError(
@@ -113,50 +108,21 @@ class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
         cyclic = meta_path + meta_path[0]
         for a, b in zip(cyclic, cyclic[1:]):
             edge_type_between(_TYPE_OF_LETTER[a], _TYPE_OF_LETTER[b])
-        self.name = "metapath2vec"
-        self.meta_path = meta_path
-        self.dim_ = int(dim)
-        self.walks_per_node = walks_per_node
-        self.walk_length = walk_length
-        self.window = window
-        self.negatives = negatives
-        self.lr = lr
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.spatial_bandwidth = spatial_bandwidth
-        self.temporal_bandwidth = temporal_bandwidth
-        self.vocab_min_count = vocab_min_count
-        self.vocab_max_size = vocab_max_size
-        self.seed = seed
-
-    # ------------------------------------------------------------------- fit
-
-    def fit(self, corpus: Corpus) -> "MetaPath2Vec":
-        """Train on ``corpus`` (see :class:`SpatiotemporalModel`)."""
-        rng = ensure_rng(self.seed)
-        builder = GraphBuilder(
-            detector=HotspotDetector(
-                spatial_bandwidth=self.spatial_bandwidth,
-                temporal_bandwidth=self.temporal_bandwidth,
-            ),
-            vocab=Vocabulary(
-                min_count=self.vocab_min_count, max_size=self.vocab_max_size
-            ),
-            include_users="U" in self.meta_path,
+        super().__init__(
+            dim,
+            walks_per_node=walks_per_node,
+            walk_length=walk_length,
+            window=window,
+            epochs=epochs,
+            **kwargs,
         )
-        self.built = builder.build(corpus)
-        activity = self.built.activity
-        adjacency = _TypedAdjacency(activity)
-        walks = self._generate_walks(activity, adjacency, rng)
-        pairs = self._walk_pairs(walks)
-        self._train(activity, pairs, rng)
-        return self
+        self.meta_path = meta_path
+        self.include_users = "U" in meta_path
+
+    # ----------------------------------------------------------------- walks
 
     def _generate_walks(
-        self,
-        activity: ActivityGraph,
-        adjacency: _TypedAdjacency,
-        rng: np.random.Generator,
+        self, activity: ActivityGraph, rng: np.random.Generator
     ) -> list[list[int]]:
         """Meta-path-guided walks from every node the pattern can visit.
 
@@ -166,6 +132,7 @@ class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
         most of the graph unvisited when that type is rare (e.g. ~100
         location hotspots vs thousands of words).
         """
+        adjacency = _TypedAdjacency(activity)
         pattern = [_TYPE_OF_LETTER[c] for c in self.meta_path]
         walks: list[list[int]] = []
         seen_types = set()
@@ -188,46 +155,3 @@ class MetaPath2Vec(GraphEmbeddingModel, SpatiotemporalModel):
                     if len(walk) > 1:
                         walks.append(walk)
         return walks
-
-    def _walk_pairs(self, walks: list[list[int]]) -> np.ndarray:
-        """(center, context) node pairs within the skip-gram window."""
-        pairs: list[tuple[int, int]] = []
-        for walk in walks:
-            for i, center in enumerate(walk):
-                lo = max(0, i - self.window)
-                hi = min(len(walk), i + self.window + 1)
-                for j in range(lo, hi):
-                    if j != i:
-                        pairs.append((center, walk[j]))
-        if not pairs:
-            raise RuntimeError("no skip-gram pairs generated; graph too sparse")
-        return np.asarray(pairs, dtype=np.int64)
-
-    def _train(
-        self,
-        activity: ActivityGraph,
-        pairs: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        self.center, self.context = random_init(
-            activity.n_nodes, self.dim_, rng
-        )
-        # Global noise distribution over all nodes by total degree^0.75
-        # (plain metapath2vec; the ++ variant would restrict to the context
-        # type).
-        degree = activity.total_degree()
-        nodes = np.flatnonzero(degree > 0)
-        noise = AliasTable(np.power(degree[nodes], NOISE_POWER))
-        n = pairs.shape[0]
-        for _epoch in range(self.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, self.batch_size):
-                batch = pairs[order[start : start + self.batch_size]]
-                progress = (_epoch * n + start) / max(1, self.epochs * n)
-                lr = self.lr * max(0.1, 1.0 - progress)
-                neg = nodes[
-                    noise.sample(batch.shape[0] * self.negatives, seed=rng)
-                ].reshape(batch.shape[0], self.negatives)
-                sgns_step(
-                    self.center, self.context, batch[:, 0], batch[:, 1], neg, lr
-                )

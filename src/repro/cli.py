@@ -166,20 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "them into RAM (requires a format-v2 bundle directory from "
         "'repro export')",
     )
-    ev.add_argument(
-        "--ann", action="store_true",
-        help="evaluate through the ANN-indexed engine; Table-2 ranking "
-        "uses explicit candidate lists, which the indexed engine scores "
-        "via its exact fallback, so the MRR is identical by construction",
-    )
-    ev.add_argument(
-        "--ann-nlist", type=int, default=256, metavar="N",
-        help="inverted lists per ANN modality index (with --ann)",
-    )
-    ev.add_argument(
-        "--ann-nprobe", type=int, default=8, metavar="N",
-        help="lists probed per ANN neighbor query (with --ann)",
-    )
 
     export = sub.add_parser(
         "export",
@@ -659,30 +645,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     engine = None
-    if args.ann or args.telemetry_dir or args.serve_metrics is not None:
+    if args.telemetry_dir or args.serve_metrics is not None:
         from repro.core import QueryEngine
 
-        engine_cls = QueryEngine
-        engine_kwargs = {}
-        if args.ann:
-            from repro.ann import IndexedQueryEngine
-
-            engine_cls = IndexedQueryEngine
-            engine_kwargs = {
-                "nlist": args.ann_nlist,
-                "nprobe": args.ann_nprobe,
-            }
-        engine = engine_cls(
-            model,
-            metrics=MetricsRegistry(),
-            tracer=Tracer(),
-            **engine_kwargs,
-        )
+        engine = QueryEngine(model, metrics=MetricsRegistry(), tracer=Tracer())
         # The eval path resolves model.query_engine(); pre-seed its cache
-        # so every batch flows through the instrumented engine.  Table-2
-        # ranking scores explicit candidate lists, which the indexed
-        # engine routes through its exact fallback — so --ann reproduces
-        # the exact MRR bit-for-bit.
+        # so every batch flows through the instrumented engine.
         model._query_engine = engine
     server = None
     if args.serve_metrics is not None:

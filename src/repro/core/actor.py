@@ -79,11 +79,10 @@ class Actor(GraphEmbeddingModel):
         corpus:
             Training records.
         detector:
-            Optional discretization front-end replacing the default
-            mean-shift :class:`HotspotDetector` — e.g. a
+            Optional :class:`HotspotDetector` replacing the default
+            mean-shift one — e.g. a
             :class:`~repro.hotspots.grid.GridDetector` for the
-            discretization ablation.  Must expose the detector interface
-            (``fit`` / ``assign_*`` / ``*_hotspots``).
+            discretization ablation.
         metrics:
             Optional :class:`~repro.utils.metrics.MetricsRegistry`.
             Forwarded to the trainer (per-epoch loss/time under
@@ -112,12 +111,8 @@ class Actor(GraphEmbeddingModel):
                 temporal_bandwidth=cfg.temporal_bandwidth,
                 min_support=cfg.min_hotspot_support,
             )
-        # Attach the observability sinks to the detector (duck-typed so a
-        # GridDetector ablation without the attributes still works).
-        if hasattr(detector, "metrics"):
-            detector.metrics = metrics
-        if hasattr(detector, "tracer"):
-            detector.tracer = tracer
+        detector.metrics = metrics
+        detector.tracer = tracer
         vocab = Vocabulary(
             min_count=cfg.vocab_min_count, max_size=cfg.vocab_max_size
         )
@@ -205,8 +200,7 @@ class Actor(GraphEmbeddingModel):
             fit.set(pretrained=bool(pretrain))
         # Detach the tracer before the model can be pickled: spans hold a
         # growing forest, and save() serializes trainer + detector.
-        if hasattr(detector, "tracer"):
-            detector.tracer = NULL_TRACER
+        detector.tracer = NULL_TRACER
         self.trainer.tracer = NULL_TRACER
         self._fitted = True
         return self

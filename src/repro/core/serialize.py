@@ -95,25 +95,27 @@ class BundleFormatError(ValueError):
     """
 
 
-def _read_manifest(path: Path, *, kind: str) -> dict:
-    """Load and sanity-check a manifest file, or raise BundleFormatError."""
+def _read_json(path: Path, *, kind: str, expect: type = dict):
+    """Load one JSON file of a bundle or checkpoint, or raise BundleFormatError.
+
+    A missing file, undecodable text or a top-level value that is not an
+    ``expect`` (``dict`` for manifests, ``list`` for ``nodes.json`` and
+    ``vocab.json``) raises an error naming the file.
+    """
     if not path.exists():
-        raise BundleFormatError(
-            f"{kind} at {path.parent} has no {path.name}; "
-            "not a bundle directory?"
-        )
+        raise BundleFormatError(f"{kind} at {path.parent} has no {path.name}")
     try:
-        manifest = json.loads(path.read_text())
+        value = json.loads(path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise BundleFormatError(
-            f"{kind} manifest {path} is corrupt or truncated: {exc}"
+            f"{kind} file {path} is corrupt or truncated: {exc}"
         ) from exc
-    if not isinstance(manifest, dict):
+    if not isinstance(value, expect):
         raise BundleFormatError(
-            f"{kind} manifest {path} must hold a JSON object, "
-            f"got {type(manifest).__name__}"
+            f"{kind} file {path} must hold a JSON {expect.__name__}, "
+            f"got {type(value).__name__}"
         )
-    return manifest
+    return value
 
 
 def _require(manifest: dict, field: str, *, version, directory: Path):
@@ -300,7 +302,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
     layout re-derived from the manifest's shard count.
     """
     directory = Path(directory)
-    manifest = _read_manifest(directory / "manifest.json", kind="bundle")
+    manifest = _read_json(directory / "manifest.json", kind="bundle")
     version = _check_version(
         manifest, SUPPORTED_FORMAT_VERSIONS, kind="bundle", directory=directory
     )
@@ -418,7 +420,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
             f"bundle file {hotspots_path} is corrupt or truncated: {exc}"
         ) from exc
 
-    nodes = json.loads((directory / "nodes.json").read_text())
+    nodes = _read_json(directory / "nodes.json", kind="bundle", expect=list)
     if len(nodes) != n_nodes or n_rows != len(nodes):
         raise BundleFormatError(
             f"bundle at {directory} (format v{version}) is inconsistent: "
@@ -442,7 +444,7 @@ def load_bundle(directory: str | Path, *, mmap: bool = False) -> QueryModel:
         activity.add_node(node_type, key)
     activity.finalize()
 
-    words = json.loads((directory / "vocab.json").read_text())
+    words = _read_json(directory / "vocab.json", kind="bundle", expect=list)
     vocab = Vocabulary(min_count=1)
     vocab.fit([])  # freeze empty, then append in stored id order
     for word in words:
@@ -537,15 +539,16 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
     :func:`save_online_checkpoint` directory, resuming against ``base``.
 
     ``base`` must be the fitted Actor the checkpointed deployment was
-    warm-started from (same node count and dimension); the shared built
-    graphs supply the detector, base node registry and vocabulary.
+    warm-started from (same node count and dimension); its built graphs
+    supply the detector, the base node registry and the vocabulary that
+    the restored model forks (``base`` itself is not mutated).
     Reads checkpoint formats v1 (matrices inside ``online_state.npz``)
     and v2 (raw ``.npy`` sidecars).
     """
     from repro.core.streaming import OnlineActor, RecencyBuffer
 
     directory = Path(directory)
-    manifest = _read_manifest(
+    manifest = _read_json(
         directory / "online_manifest.json", kind="checkpoint"
     )
     version = _check_version(
@@ -629,9 +632,9 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
         if node_type in (NodeType.TIME, NodeType.LOCATION):
             key = int(key)
         model._extra_nodes[(node_type, key)] = base_rows + offset
-        # Words restored into a fresh base need their vocabulary entry
-        # back; a full vocabulary simply leaves the word resolvable
-        # through the extra-node registry.
+        # Streamed-in words get their entry back in the restored model's
+        # vocabulary fork; a full vocabulary simply leaves the word
+        # resolvable through the extra-node registry.
         if (
             node_type is NodeType.WORD
             and key not in vocab

@@ -51,6 +51,7 @@ see ``docs/observability.md``.  Checkpoint/restore lives in
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -369,8 +370,8 @@ class OnlineActor(GraphEmbeddingModel):
     Parameters
     ----------
     base:
-        A fitted Actor; its embeddings are copied (the base model is not
-        mutated) and then updated online.
+        A fitted Actor; its embeddings and word index are copied (the
+        base model is not mutated) and then updated online.
     half_life:
         Recency half-life of the edge buffer, in ingested batches.
     online_lr:
@@ -412,7 +413,9 @@ class OnlineActor(GraphEmbeddingModel):
             raise ValueError("base Actor must be fitted before going online")
         check_positive("online_lr", online_lr)
         check_positive("steps_per_batch", steps_per_batch)
-        self.built = base.built
+        # Graphs and detector are shared read-only; streamed-in words go
+        # to a private fork of the word index.
+        self.built = replace(base.built, vocab=base.built.vocab.fork())
         self.config = base.config
         self.center = np.array(base.center)      # private DenseStore copies
         self.context = np.array(base.context)
@@ -458,12 +461,6 @@ class OnlineActor(GraphEmbeddingModel):
             return activity.index_of(node_type, key)
         return self._extra_nodes.get((node_type, key))
 
-    def _resolve(self, node_type: NodeType, key: Hashable) -> int | None:
-        """Row of an existing unit (base graph or extras); None if unseen."""
-        if self.built.activity.has_node(node_type, key):
-            return self.built.activity.index_of(node_type, key)
-        return self._extra_nodes.get((node_type, key))
-
     def _create_rows(self, handles: list[tuple[NodeType, Hashable]]) -> int:
         """Append fresh random rows for ``handles``; returns the first row.
 
@@ -472,8 +469,8 @@ class OnlineActor(GraphEmbeddingModel):
         is part of the reproducibility contract).  Growth goes through
         ``store.grow``, which appends to both matrices and bumps the
         store version, invalidating the batched-query caches.  New words
-        are registered with the vocabulary so later batches see them as
-        in-vocabulary.
+        are registered with the model's own vocabulary fork so later
+        batches see them as in-vocabulary.
         """
         k = len(handles)
         if k == 0:

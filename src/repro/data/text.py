@@ -9,6 +9,7 @@ frequency-based pruning.
 
 from __future__ import annotations
 
+import copy
 import re
 from collections import Counter
 from collections.abc import Iterable
@@ -147,6 +148,18 @@ class Vocabulary:
         self._word_to_id[word] = word_id
         self._id_to_word.append(word)
         return word_id
+
+    def fork(self) -> "Vocabulary":
+        """A copy whose word index grows independently of this one.
+
+        A streaming model adds its new words to a fork, so the vocabulary
+        of the model it warm-started from never changes.  The corpus
+        counts, which :meth:`add_word` never touches, stay shared.
+        """
+        fork = copy.copy(self)
+        fork._word_to_id = dict(self._word_to_id)
+        fork._id_to_word = list(self._id_to_word)
+        return fork
 
     def word_of(self, word_id: int) -> str:
         """Keyword for integer id ``word_id``."""

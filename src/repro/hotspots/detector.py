@@ -29,6 +29,10 @@ __all__ = ["HotspotDetector"]
 class HotspotDetector:
     """Detect and assign spatial & temporal hotspots via mean shift.
 
+    The two mode finders, :meth:`_spatial_modes` and
+    :meth:`_temporal_modes`, are the only part a discretization variant
+    replaces (see :class:`~repro.hotspots.grid.GridDetector`).
+
     Parameters
     ----------
     spatial_bandwidth:
@@ -148,31 +152,37 @@ class HotspotDetector:
             with stage(
                 "hotspot.spatial_fit", metrics=self.metrics, tracer=self.tracer
             ):
-                spatial = mean_shift(
-                    locations,
-                    self.spatial_bandwidth,
-                    min_support=self.min_support,
-                )
+                spatial = self._spatial_modes(locations)
             with stage(
                 "hotspot.temporal_fit", metrics=self.metrics, tracer=self.tracer
             ):
-                temporal = circular_mean_shift(
-                    hours,
-                    self.temporal_bandwidth,
-                    period=self.period,
-                    min_support=self.min_support,
-                )
+                temporal = self._temporal_modes(hours)
             detect.set(
-                n_spatial=int(spatial.modes.shape[0]),
-                n_temporal=int(temporal.modes.shape[0]),
+                n_spatial=int(spatial.shape[0]),
+                n_temporal=int(temporal.shape[0]),
             )
-        self._spatial_hotspots = spatial.modes
-        self._temporal_hotspots = temporal.modes.ravel()
+        self._spatial_hotspots = spatial
+        self._temporal_hotspots = temporal
         self._spatial_tree = cKDTree(self._spatial_hotspots)
         if self.metrics is not None:
             self.metrics.gauge("hotspot.n_spatial").set(self.n_spatial)
             self.metrics.gauge("hotspot.n_temporal").set(self.n_temporal)
         return self
+
+    def _spatial_modes(self, locations: np.ndarray) -> np.ndarray:
+        """``(S, 2)`` spatial hotspots of ``locations``: mean-shift modes."""
+        return mean_shift(
+            locations, self.spatial_bandwidth, min_support=self.min_support
+        ).modes
+
+    def _temporal_modes(self, hours: np.ndarray) -> np.ndarray:
+        """``(T,)`` temporal hotspots of ``hours``: circular mean-shift modes."""
+        return circular_mean_shift(
+            hours,
+            self.temporal_bandwidth,
+            period=self.period,
+            min_support=self.min_support,
+        ).modes.ravel()
 
     # ----------------------------------------------------------------- assign
 

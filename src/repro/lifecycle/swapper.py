@@ -13,10 +13,10 @@ triple is immutable and self-consistent (the engine's modality caches
 and ANN indexes are stamped with its own store's ``version`` counter,
 so they can never mix rows across stores), and
 :meth:`~repro.serving.http_server.QueryServer.swap_model` replaces the
-server's ``service`` reference in a single assignment.  Every dispatch
-— the batcher trampoline reads ``server.service`` exactly once per
-batch, the non-coalesced path once per request — therefore executes
-entirely against one generation.  Request *validation* is
+server's ``service`` reference in a single assignment.  Every request
+rides the batcher, whose trampoline reads ``server.service`` exactly
+once per batch, so every dispatch executes entirely against one
+generation.  Request *validation* is
 model-independent (pure shape checks), so a request validated against
 the outgoing service and dispatched on the incoming one is harmless.
 """

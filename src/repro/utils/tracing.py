@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 # The calling thread's request-stage sink (see collect_stages): a sink is
-# per thread, so the coalescing dispatcher and a handler thread that
-# dispatches directly never mix their stages.
+# per thread, so the batcher's dispatcher never picks up stages that
+# another thread (an evaluation run, a warm-up) times meanwhile.
 _thread_sinks = threading.local()
 
 
@@ -373,9 +373,9 @@ def collect_stages() -> Iterator[dict]:
     "score": ...}`` for every keyed :class:`stage` the *calling thread*
     runs inside the block, plus non-duration observations from
     :func:`note_value` under a ``values`` sub-dict (e.g. the ANN probed
-    fraction).  The sink is thread-local, so concurrent dispatches — the
-    coalescing dispatcher and a non-coalesced handler — never mix
-    stages.  Nests safely: the previous sink is restored on exit.
+    fraction).  The sink is thread-local, so stages timed on other
+    threads never land in it.  Nests safely: the previous sink is
+    restored on exit.
     """
     sink: dict = {}
     previous = getattr(_thread_sinks, "sink", None)

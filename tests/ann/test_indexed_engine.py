@@ -2,10 +2,10 @@
 
 Three contracts: (1) full-vocabulary retrieval through the index agrees
 with the model's exact dense scan; (2) explicit-candidate ranking — the
-Table-2 evaluation path — inherits the exact engine *unchanged*, so
-``evaluate --ann`` is exact by construction; (3) the index is stamped
-with the store's version counter and can never serve rows from before a
-mutation.
+Table-2 evaluation path and ``/v1/predict`` under ``serve --ann`` —
+inherits the exact engine *unchanged*, so it is exact by construction;
+(3) the index is stamped with the store's version counter and can never
+serve rows from before a mutation.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class TestExactFallbackMatrix:
     def test_table2_mrr_identical_under_ann(
         self, tiny_actor, engine, dataset
     ):
-        """The ``repro evaluate --ann`` contract at test scale."""
+        """Table-2 MRR through the indexed engine equals the exact MRR."""
         for target in ("text", "location", "time"):
             queries = make_queries(
                 dataset.test, target, n_noise=8, max_queries=30, seed=2

@@ -44,11 +44,8 @@ class TestFit:
         each walk's type sequence matches the pattern rotated to begin at
         its start node's type.
         """
-        from repro.baselines.metapath2vec import _TypedAdjacency
-
         rng = np.random.default_rng(1)
-        adjacency = _TypedAdjacency(fitted.built.activity)
-        walks = fitted._generate_walks(fitted.built.activity, adjacency, rng)
+        walks = fitted._generate_walks(fitted.built.activity, rng)
         assert walks
         pattern = [NodeType.LOCATION, NodeType.WORD, NodeType.TIME, NodeType.WORD]
         rotations = [pattern[i:] + pattern[:i] for i in range(4)]
@@ -64,11 +61,8 @@ class TestFit:
 
     def test_walks_start_from_every_pattern_type(self, fitted):
         """Coverage fix: walks must start at W and T nodes too, not only L."""
-        from repro.baselines.metapath2vec import _TypedAdjacency
-
         rng = np.random.default_rng(2)
-        adjacency = _TypedAdjacency(fitted.built.activity)
-        walks = fitted._generate_walks(fitted.built.activity, adjacency, rng)
+        walks = fitted._generate_walks(fitted.built.activity, rng)
         start_types = {fitted.built.activity.type_of(w[0]) for w in walks}
         assert {NodeType.LOCATION, NodeType.WORD, NodeType.TIME} <= start_types
 

@@ -36,6 +36,25 @@ class TestDetectorInjection:
         assert summary["n_spatial"] == grid_actor.built.detector.n_spatial
         assert summary["n_temporal"] == grid_actor.built.detector.n_temporal
 
+    def test_grid_fit_runs_in_the_hotspot_stages(self, dataset):
+        """The grid's mode finders run inside the detector's own stages."""
+        from repro.utils.metrics import MetricsRegistry
+        from repro.utils.tracing import Tracer, walk_spans
+
+        registry, tracer = MetricsRegistry(), Tracer()
+        detector = GridDetector(cell_km=1.0, min_support=3)
+        Actor(
+            ActorConfig(dim=8, epochs=1, batches_per_epoch=2, seed=9)
+        ).fit(dataset.train, detector=detector, metrics=registry, tracer=tracer)
+        for name in ("hotspot.spatial_fit", "hotspot.temporal_fit"):
+            assert registry.histogram(f"{name}_seconds").count == 1
+        detect = [s for _d, s in walk_spans(tracer.roots)
+                  if s.name == "hotspot.detect"]
+        assert [s.attributes["n_spatial"] for s in detect] == [
+            detector.n_spatial
+        ]
+        assert registry.gauge("hotspot.n_temporal").value == detector.n_temporal
+
     def test_default_detector_when_not_injected(self, tiny_actor):
         from repro.hotspots import HotspotDetector
 

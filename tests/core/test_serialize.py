@@ -178,6 +178,23 @@ class TestBundleFormatErrors:
         with pytest.raises(BundleFormatError, match="context.npy"):
             load_bundle(bad)
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("name", ["nodes.json", "vocab.json"])
+    def test_damaged_registry_file_named(
+        self, bundle_dir, tmp_path, name, damage, mmap
+    ):
+        bad = tmp_path / "damaged"
+        shutil.copytree(bundle_dir, bad)
+        path = bad / name
+        if damage == "missing":
+            path.unlink()
+        else:
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
+        with pytest.raises(BundleFormatError, match=name):
+            load_bundle(bad, mmap=mmap)
+
     def test_error_is_a_value_error(self):
         """Callers catching the historical ValueError keep working."""
         assert issubclass(BundleFormatError, ValueError)

@@ -1,5 +1,7 @@
 """Tests for the online/streaming ACTOR extension."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,25 @@ class TestOnlineActor:
         )
         np.testing.assert_array_equal(actor.center, before)
         assert online.n_ingested == 20
+
+    def test_base_vocabulary_not_mutated(self, warm_actor, tmp_path):
+        """Streamed-in words go to the online model's own word index, on
+        partial_fit and on checkpoint restore alike."""
+        _data, actor = warm_actor
+        fresh_base = pickle.loads(pickle.dumps(actor))
+        words_before = actor.built.vocab.words
+        online = OnlineActor(actor, seed=0)
+        online.partial_fit(
+            make_stream_records(
+                90_000, ["vocab_probe_a", "vocab_probe_b"], (5.0, 5.0), 9.0
+            )
+        )
+        assert "vocab_probe_a" in online.built.vocab
+        assert actor.built.vocab.words == words_before
+        online.save_checkpoint(tmp_path / "ckpt")
+        restored = OnlineActor.restore(fresh_base, tmp_path / "ckpt")
+        assert restored.built.vocab.words == online.built.vocab.words
+        assert fresh_base.built.vocab.words == words_before
 
     def test_empty_batch_is_noop(self, warm_actor):
         _data, actor = warm_actor

@@ -760,6 +760,21 @@ class TestServeLoadgen:
         assert code == 2
         assert "--mmap requires a bundle directory" in capsys.readouterr().err
 
+    def test_serve_names_damaged_bundle_file(
+        self, bundle_path, tmp_path, capsys
+    ):
+        import shutil
+
+        bad = tmp_path / "bad-bundle"
+        shutil.copytree(bundle_path, bad)
+        text = (bad / "vocab.json").read_text()
+        (bad / "vocab.json").write_text(text[: len(text) // 2])
+        code = main(
+            ["serve", "--model", str(bad), "--mmap", "--max-seconds", "1"]
+        )
+        assert code == 2
+        assert "vocab.json" in capsys.readouterr().err
+
     def test_loadgen_reports_transport_failure(self, capsys):
         code = main(
             [
