@@ -92,7 +92,6 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         "keep the best (cuts scheduler noise)",
     )
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--batch-window-ms", type=float, default=1.0)
     parser.add_argument(
         "--parity-sample", type=int, default=80,
         help="how many requests the exact-parity phase replays over HTTP",
@@ -188,12 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     # ---- Phase 1: HTTP latency under concurrent paced clients ----------
-    with QueryServer(
-        model,
-        port=0,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-    ) as server:
+    with QueryServer(model, port=0, max_batch=args.max_batch) as server:
         http_report = LoadGenerator(
             events,
             http_transport(server.url),
@@ -205,17 +199,13 @@ def main(argv: list[str] | None = None) -> int:
     # The per-request path executes each request as its own engine call;
     # the coalesced path parks callers in the batcher and rides the
     # vectorized batch dispatch.  Saturation (more threads than batch
-    # capacity) is where coalescing pays: batches cut on size, not on the
-    # linger window.
+    # capacity) is where coalescing pays: each batch is what queued
+    # during the previous dispatch.
     # Interleaved (per-request, coalesced) trial pairs: the gate takes
     # the best per-trial *ratio*, so noise that slows the whole machine
     # for one trial hits both paths and cancels, instead of pairing one
     # path's best trial against the other's worst.
-    batcher = RequestBatcher(
-        service.dispatch,
-        max_batch=args.max_batch,
-        max_wait_ms=args.batch_window_ms,
-    )
+    batcher = RequestBatcher(service.dispatch, max_batch=args.max_batch)
     trial_pairs: list[tuple[float, float]] = []
     try:
         for _ in range(args.throughput_trials):
@@ -255,12 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         reference.dispatch([r])[0] for r in _typed_requests(reference, sample)
     ]
     mismatches = 0
-    with QueryServer(
-        model,
-        port=0,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
-    ) as server:
+    with QueryServer(model, port=0, max_batch=args.max_batch) as server:
         transport = http_transport(server.url)
         results: list = [None] * len(sample)
 
@@ -303,15 +288,11 @@ def main(argv: list[str] | None = None) -> int:
 
     trace_pairs: list[tuple[float, float]] = []
     with QueryServer(
-        model,
-        port=0,
-        max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
+        model, port=0, max_batch=args.max_batch
     ) as traced_server, QueryServer(
         model,
         port=0,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
         trace_requests=False,
     ) as untraced_server:
         traced_execute = _server_executor(traced_server)

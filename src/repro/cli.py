@@ -300,13 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest coalesced batch dispatched to the engine at once",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="how long requests that queued during a running dispatch "
-        "linger for co-travellers before their batch dispatches; a "
-        "request that finds the batcher idle dispatches at once "
-        "(default: 2.0)",
-    )
-    serve.add_argument(
         "--ann", action="store_true",
         help="serve /v1/neighbors from IVF ANN indexes (built per "
         "modality at startup) instead of exact dense scans; /v1/predict "
@@ -719,7 +712,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     base = Actor.load(args.model)
     corpus = load_corpus(args.corpus)
     if args.resume:
-        model = load_online_checkpoint(base, args.resume)
+        try:
+            model = load_online_checkpoint(base, args.resume)
+        except ValueError as exc:  # incl. BundleFormatError
+            print(str(exc), file=sys.stderr)
+            return 2
     else:
         model = OnlineActor(
             base,
@@ -895,7 +892,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
         logger=logger,
         stale_after=args.stale_after,
         ann=args.ann,

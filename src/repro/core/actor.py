@@ -89,7 +89,9 @@ class Actor(GraphEmbeddingModel):
             ``train.*``), the hotspot detector (``hotspot.*``) and used
             for the stage histograms ``fit.build_graphs_seconds`` /
             ``fit.initialize_seconds`` / ``fit.train_seconds`` plus
-            graph-size gauges (``graph.*``).
+            graph-size gauges (``graph.*``).  Detached from the trainer
+            and the detector before :meth:`fit` returns, so a saved
+            model never carries the caller's registry.
         tracer:
             Optional :class:`~repro.utils.tracing.Tracer`.  Emits an
             ``actor.fit`` span with ``fit.build_graphs`` /
@@ -198,10 +200,13 @@ class Actor(GraphEmbeddingModel):
             with stage("fit.train", metrics=metrics, tracer=tracer):
                 self.trainer.train(seed=train_rng)
             fit.set(pretrained=bool(pretrain))
-        # Detach the tracer before the model can be pickled: spans hold a
-        # growing forest, and save() serializes trainer + detector.
+        # Detach the caller's sinks before the model can be pickled:
+        # save() serializes trainer + detector, and a registry or a span
+        # forest belongs to this run, not to the model.
         detector.tracer = NULL_TRACER
         self.trainer.tracer = NULL_TRACER
+        detector.metrics = None
+        self.trainer.metrics = None
         self._fitted = True
         return self
 

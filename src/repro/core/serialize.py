@@ -557,10 +557,12 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
     )
     if not base.is_fitted:
         raise ValueError("base Actor must be fitted to restore a checkpoint")
-    base_rows = _require(
-        manifest, "base_rows", version=version, directory=directory
-    )
-    dim = _require(manifest, "dim", version=version, directory=directory)
+
+    def field(name: str):
+        return _require(manifest, name, version=version, directory=directory)
+
+    base_rows = field("base_rows")
+    dim = field("dim")
     if base.center.shape[0] != base_rows or base.center.shape[1] != dim:
         raise ValueError(
             f"checkpoint was taken against a base model with "
@@ -568,14 +570,16 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
             f"{base.center.shape[0]} nodes of dim {base.center.shape[1]}"
         )
 
+    half_life = field("half_life")
+    buffer_max_size = field("buffer_max_size")
     model = OnlineActor(
         base,
-        half_life=manifest["half_life"],
-        online_lr=manifest["online_lr"],
-        steps_per_batch=manifest["steps_per_batch"],
-        batch_size=manifest["batch_size"],
-        negatives=manifest["negatives"],
-        buffer_size=manifest["buffer_max_size"],
+        half_life=half_life,
+        online_lr=field("online_lr"),
+        steps_per_batch=field("steps_per_batch"),
+        batch_size=field("batch_size"),
+        negatives=field("negatives"),
+        buffer_size=buffer_max_size,
         seed=0,
     )
     state_path = directory / "online_state.npz"
@@ -584,6 +588,8 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
             f"checkpoint at {directory} (format v{version}) is missing "
             "online_state.npz"
         )
+    clock = field("buffer_clock")
+    evictions = field("buffer_evictions")
     try:
         with np.load(state_path) as data:
             if version == 1:
@@ -594,8 +600,8 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
                 "dst": data["buf_dst"],
                 "weight": data["buf_weight"],
                 "born": data["buf_born"],
-                "clock": manifest["buffer_clock"],
-                "evictions": manifest["buffer_evictions"],
+                "clock": clock,
+                "evictions": evictions,
             }
     except (ValueError, KeyError, OSError) as exc:
         raise BundleFormatError(
@@ -611,13 +617,12 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
             directory=directory,
         )
 
-    extra_nodes = _require(
-        manifest, "extra_nodes", version=version, directory=directory
-    )
+    extra_nodes = field("extra_nodes")
+    n_rows = field("n_rows")
     if (
-        center.shape != (manifest["n_rows"], dim)
+        center.shape != (n_rows, dim)
         or center.shape != context.shape
-        or manifest["n_rows"] != base_rows + len(extra_nodes)
+        or n_rows != base_rows + len(extra_nodes)
     ):
         raise BundleFormatError(
             f"checkpoint at {directory} (format v{version}) is inconsistent: "
@@ -642,12 +647,10 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
         ):
             vocab.add_word(key)
     model.buffer = RecencyBuffer.from_state(
-        buffer_state,
-        half_life=manifest["half_life"],
-        max_size=manifest["buffer_max_size"],
+        buffer_state, half_life=half_life, max_size=buffer_max_size
     )
-    model.n_ingested = int(manifest["n_ingested"])
-    rng_state = manifest["rng_state"]
+    model.n_ingested = int(field("n_ingested"))
+    rng_state = field("rng_state")
     if rng_state.get("bit_generator") == model._rng.bit_generator.state.get(
         "bit_generator"
     ):

@@ -8,12 +8,12 @@ block in :meth:`~RequestBatcher.submit` while a dispatcher thread collects
 up to ``max_batch`` items, hands the group to one ``dispatch_fn`` call, and
 fans the per-item results back out.
 
-When to cut a batch follows Nagle's rule: nothing is held back while
-nothing is in flight.  A request that finds the dispatcher idle is
-dispatched at once, with whatever queued alongside it; only requests that
-arrive while a dispatch is running linger, for up to ``max_wait_ms``, for
-co-travellers.  Sparse traffic therefore never pays the window, and busy
-traffic coalesces exactly as before.
+When to cut a batch follows Nagle's rule with no timer: nothing is held
+back while nothing is in flight.  A request that finds the dispatcher
+idle is dispatched at once; requests that arrive while a dispatch runs
+queue, and the next batch is whatever queued (up to ``max_batch``) by the
+time that dispatch returns.  No request ever waits for co-travellers, so
+busy traffic coalesces exactly as much as the dispatch time allows.
 
 The contract that makes coalescing safe is **exact parity**: the dispatch
 function must return, for each item, the same result it would return for a
@@ -74,13 +74,6 @@ class RequestBatcher:
         caller alone.
     max_batch:
         Upper bound on items per dispatch call.
-    max_wait_ms:
-        How long the dispatcher lingers for more arrivals, in
-        milliseconds, before cutting a batch whose requests queued while
-        the previous dispatch was running.  A batch that starts on an
-        idle dispatcher never lingers.  ``0`` dispatches whatever is
-        queued immediately (still coalescing items that queued while a
-        previous batch was executing).
     metrics:
         Optional :class:`~repro.utils.metrics.MetricsRegistry`; records
         the ``serve.batch_size`` histogram, the
@@ -96,17 +89,13 @@ class RequestBatcher:
         dispatch_fn: Callable[[list], Sequence],
         *,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
         metrics: MetricsRegistry | None = None,
         name: str = "serve",
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self._dispatch_fn = dispatch_fn
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait_ms) / 1e3
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
@@ -171,28 +160,19 @@ class RequestBatcher:
     # --------------------------------------------------------- dispatcher side
 
     def _take_batch(self) -> list[tuple[object, _Slot]] | None:
-        """Wait for arrivals, linger ``max_wait`` if busy, cut one batch.
+        """Cut one batch: the first ``max_batch`` queued requests.
 
-        If the queue was empty when the dispatcher came back (it was
-        idle), the batch is cut as soon as the first request arrives.
-        Only requests that queued during the previous dispatch linger.
+        Waits only while the queue is empty; what queued during the
+        previous dispatch is cut as soon as that dispatch returns.
 
         Returns ``None`` exactly once: when the batcher closed and the
         queue is fully drained, which terminates the dispatcher thread.
         """
         with self._arrived:
-            idle = not self._queue
             while not self._queue:
                 if self._closed:
                     return None
                 self._arrived.wait()
-            if self.max_wait > 0 and not idle:
-                deadline = time.monotonic() + self.max_wait
-                while len(self._queue) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._arrived.wait(remaining)
             batch = self._queue[: self.max_batch]
             del self._queue[: len(batch)]
             return batch

@@ -29,9 +29,12 @@ Every request rides the :class:`~repro.serving.batcher.RequestBatcher`:
 handler threads park in it and execute as one vectorized
 :class:`~repro.serving.service.QueryService` dispatch, with exact parity
 to per-request execution.  A request that finds the batcher idle
-dispatches at once; requests that arrive during a dispatch linger for up
-to ``batch_window_ms`` to share the next one (``max_batch=1`` gives one
-engine call per request).  Malformed bodies — including non-finite
+dispatches at once; requests that arrive during a dispatch share the
+next one, which starts as soon as that dispatch returns (``max_batch=1``
+gives one engine call per request).  Responses leave in one write on a
+no-Nagle socket (see :class:`~repro.utils.telemetry_server
+.TelemetryHandler`), so no keep-alive request waits on a timer either in
+the batcher or in the kernel.  Malformed bodies — including non-finite
 numbers and nesting too deep to parse — are *client* errors: they return
 structured 400 payloads and count under ``serve.bad_requests`` rather
 than killing the handler thread or failing a whole batch with a 500.
@@ -202,10 +205,6 @@ class QueryServer(TelemetryServer):
         Bind address; loopback by default.
     max_batch:
         Largest coalesced batch handed to the engine at once.
-    batch_window_ms:
-        How long requests that queued while a dispatch was running
-        linger for co-travellers before their batch dispatches.  A
-        request that finds the batcher idle dispatches at once.
     ann:
         ``True`` serves ``/v1/neighbors`` from per-modality IVF indexes
         (:class:`~repro.ann.engine.IndexedQueryEngine`) built eagerly at
@@ -253,7 +252,6 @@ class QueryServer(TelemetryServer):
         port: int = 0,
         host: str = "127.0.0.1",
         max_batch: int = 64,
-        batch_window_ms: float = 2.0,
         ann: bool = False,
         ann_nlist: int = 256,
         ann_nprobe: int = 8,
@@ -288,7 +286,6 @@ class QueryServer(TelemetryServer):
             model, engine=self.engine, metrics=self.metrics
         )
         self.max_batch = int(max_batch)
-        self.batch_window_ms = float(batch_window_ms)
         self.batcher: RequestBatcher | None = None
         self.slo_engine = SLOEngine(self.metrics)
         self.slo_engine.add_objective(
@@ -336,7 +333,6 @@ class QueryServer(TelemetryServer):
         self.batcher = RequestBatcher(
             self._dispatch_batch,
             max_batch=self.max_batch,
-            max_wait_ms=self.batch_window_ms,
             metrics=self.metrics,
         )
         self._accepting = True

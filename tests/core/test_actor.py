@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Actor, ActorConfig
 from repro.data import generate_dataset
+from repro.utils.metrics import MetricsRegistry
 
 
 class TestFit:
@@ -93,6 +94,20 @@ class TestPersistence:
             location=record.location,
         )
         np.testing.assert_allclose(original, reloaded)
+
+    def test_saved_model_carries_no_metrics_registry(self, tmp_path):
+        """The registry a fit reports into belongs to the run, not the model."""
+        data = generate_dataset("utgeo2011", n_records=600, seed=5)
+        config = ActorConfig(
+            dim=8, epochs=1, batches_per_epoch=2, line_samples=2000, seed=0
+        )
+        plain, metered = tmp_path / "plain.pkl", tmp_path / "metered.pkl"
+        Actor(config).fit(data.train).save(plain)
+        Actor(config).fit(data.train, metrics=MetricsRegistry()).save(metered)
+        assert metered.stat().st_size == plain.stat().st_size
+        loaded = Actor.load(metered)
+        assert loaded.built.detector.metrics is None
+        assert loaded.trainer.metrics is None
 
     def test_save_unfitted_raises(self, tmp_path):
         with pytest.raises(RuntimeError, match="unfitted"):

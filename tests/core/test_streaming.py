@@ -1,11 +1,14 @@
 """Tests for the online/streaming ACTOR extension."""
 
+import json
 import pickle
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core import Actor, ActorConfig
+from repro.core.serialize import BundleFormatError
 from repro.core.streaming import OnlineActor, RecencyBuffer
 from repro.data import Record, generate_dataset
 from repro.data.records import Corpus
@@ -423,6 +426,18 @@ class TestNodeResolution:
 
 
 class TestCheckpointRoundtrip:
+    @pytest.fixture(scope="class")
+    def checkpoint(self, warm_actor, tmp_path_factory):
+        """One saved checkpoint, for tests that copy and damage it."""
+        _data, actor = warm_actor
+        online = OnlineActor(actor, seed=5)
+        online.partial_fit(
+            make_stream_records(90_000, ["field_word"], (5.0, 5.0), 8.0)
+        )
+        directory = tmp_path_factory.mktemp("ckpt")
+        online.save_checkpoint(directory)
+        return directory
+
     def test_roundtrip_preserves_predictions_and_stream(
         self, warm_actor, tmp_path
     ):
@@ -456,6 +471,30 @@ class TestCheckpointRoundtrip:
         online.partial_fit(more)
         restored.partial_fit(more)
         np.testing.assert_array_equal(restored.center, online.center)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "dim", "base_rows", "n_rows", "n_ingested", "half_life",
+            "online_lr", "steps_per_batch", "batch_size", "negatives",
+            "buffer_max_size", "buffer_clock", "buffer_evictions",
+            "extra_nodes", "rng_state",
+        ],
+    )
+    def test_missing_manifest_field_named(
+        self, warm_actor, checkpoint, tmp_path, field
+    ):
+        _data, actor = warm_actor
+        bad = tmp_path / "bad"
+        shutil.copytree(checkpoint, bad)
+        path = bad / "online_manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[field]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            BundleFormatError, match=f"missing manifest field '{field}'"
+        ):
+            OnlineActor.restore(actor, bad)
 
     def test_restore_rejects_mismatched_base(self, warm_actor, tmp_path):
         _data, actor = warm_actor

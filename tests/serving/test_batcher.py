@@ -43,9 +43,7 @@ class TestCoalescing:
 
         n_waiting = 7
         results = {}
-        with RequestBatcher(
-            gated_dispatch, max_batch=64, max_wait_ms=100.0
-        ) as batcher:
+        with RequestBatcher(gated_dispatch, max_batch=64) as batcher:
 
             def client(name):
                 results[name] = batcher.submit(name)
@@ -76,7 +74,7 @@ class TestCoalescing:
     def test_idle_batcher_dispatches_a_lone_request_at_once(self):
         """Nagle's rule: nothing is held back while nothing is in flight."""
         ctx = RequestContext("lone", "/v1/neighbors")
-        with RequestBatcher(echo_dispatch, max_wait_ms=500.0) as batcher:
+        with RequestBatcher(echo_dispatch) as batcher:
             started = time.perf_counter()
             result = batcher.submit("a", ctx=ctx)
             elapsed = time.perf_counter() - started
@@ -94,9 +92,7 @@ class TestCoalescing:
                 sizes.append(len(batch))
             return list(batch)
 
-        with RequestBatcher(
-            recording_dispatch, max_batch=3, max_wait_ms=50.0
-        ) as batcher:
+        with RequestBatcher(recording_dispatch, max_batch=3) as batcher:
             threads = [
                 threading.Thread(target=batcher.submit, args=(i,))
                 for i in range(10)
@@ -111,8 +107,7 @@ class TestCoalescing:
     def test_order_preserved_within_batch(self):
         """Fan-back pairs result i with submitter i, not arbitrarily."""
         with RequestBatcher(
-            lambda batch: [item * 10 for item in batch],
-            max_wait_ms=50.0,
+            lambda batch: [item * 10 for item in batch]
         ) as batcher:
             results = {}
             threads = [
@@ -179,7 +174,7 @@ class TestErrors:
                 for item in batch
             ]
 
-        with RequestBatcher(selective, max_wait_ms=50.0) as batcher:
+        with RequestBatcher(selective) as batcher:
             outcomes = {}
 
             def client(item):
@@ -237,7 +232,7 @@ class TestClose:
             release.wait(timeout=5.0)
             return echo_dispatch(batch)
 
-        batcher = RequestBatcher(slow_dispatch, max_wait_ms=1.0)
+        batcher = RequestBatcher(slow_dispatch)
         results = {}
         t = threading.Thread(
             target=lambda: results.update({"a": batcher.submit("a")})

@@ -212,9 +212,7 @@ class TestTracePropagation:
         self, tiny_actor, hold_first_dispatch
     ):
         n_clients = 16
-        with QueryServer(
-            tiny_actor, port=0, max_batch=8, batch_window_ms=20.0
-        ) as server:
+        with QueryServer(tiny_actor, port=0, max_batch=8) as server:
             hold_first_dispatch(server, n_clients)
             barrier = threading.Barrier(n_clients)
             results: dict[int, tuple] = {}

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (generate/stats/train/evaluate/query)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -261,6 +263,28 @@ class TestStream:
         out = capsys.readouterr().out
         # resumed deployment carries the earlier ingestion total forward
         assert "240 ingested total" in out
+
+    def test_stream_resume_from_damaged_checkpoint_exits_2(
+        self, model_path, stream_path, tmp_path, capsys
+    ):
+        ckpt = tmp_path / "ckpt"
+        args = [
+            "stream",
+            "--model", str(model_path),
+            "--corpus", str(stream_path),
+            "--batch-size", "60",
+            "--steps-per-batch", "10",
+        ]
+        assert main([*args, "--checkpoint", str(ckpt)]) == 0
+        manifest_path = ckpt / "online_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["buffer_clock"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main([*args, "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "missing manifest field 'buffer_clock'" in err
+        assert "Traceback" not in err
 
 
 class TestTelemetry:
