@@ -6,10 +6,12 @@ target.  :class:`IVFIndex` makes retrieval sub-linear the classic IVF way:
 
 * **build** — a spherical k-means coarse quantizer
   (:func:`repro.ann.kmeans.kmeans`, trained on a bounded sample) carves
-  the matrix into ``nlist`` Voronoi cells; one chunked assignment pass
-  sorts every row into its cell's *inverted list* (a CSR pair:
-  ``list_rows`` ordered by cell then ascending row id, plus
-  ``list_offsets``);
+  the matrix into ``nlist`` Voronoi cells, and every row goes to its
+  nearest centroid's *inverted list* (a CSR pair: ``list_rows`` ordered
+  by cell then ascending row id, plus ``list_offsets``).  When the sample
+  is the whole matrix, the quantizer's final Lloyd pass already placed
+  every row (:func:`repro.ann.kmeans.kmeans_assign`); a larger matrix
+  gets one chunked assignment pass of its own;
 * **search** — each query scores the ``nlist`` centroids (one small
   matrix product), probes its ``nprobe`` best cells, and cosine-scores
   only the rows of those lists with the same row-dot ``einsum`` kernel
@@ -37,7 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.kmeans import kmeans, nearest_centroid
+from repro.ann.kmeans import (
+    kmeans,
+    kmeans_assign,
+    nearest_centroid,
+    stable_order,
+)
 from repro.core.prediction import top_k
 from repro.utils.validation import check_positive
 
@@ -91,8 +98,8 @@ class IVFIndex:
     seed:
         Quantizer-training RNG seed — builds are deterministic.
     train_sample:
-        k-means trains on at most this many rows (one full assignment
-        pass still places every row); keeps million-row builds bounded.
+        k-means trains on at most this many rows (one more assignment
+        pass then places every row); keeps million-row builds bounded.
     kmeans_iters:
         Lloyd iterations for the quantizer.
     """
@@ -124,22 +131,28 @@ class IVFIndex:
             sample = matrix[
                 rng.choice(n, size=int(train_sample), replace=False)
             ]
+            result = kmeans(
+                sample, self.nlist, n_iter=int(kmeans_iters), seed=rng
+            )
+            labels = nearest_centroid(matrix, result.modes)
         else:
-            sample = matrix
-        result = kmeans(
-            sample, self.nlist, n_iter=int(kmeans_iters), seed=rng
-        )
+            # The sample is the whole matrix: the final Lloyd pass has
+            # already placed every row.
+            result, labels = kmeans_assign(
+                matrix, self.nlist, n_iter=int(kmeans_iters), seed=rng
+            )
         self.centroids = result.modes
         # kmeans may merge nothing but can only return <= nlist centroids
         # when the sample had fewer distinct points; track the real count.
         self.nlist = self.centroids.shape[0]
         self.nprobe = int(min(self.nprobe, self.nlist))
-        labels = nearest_centroid(matrix, self.centroids)
         counts = np.bincount(labels, minlength=self.nlist)
         # Stable sort by cell keeps rows ascending *within* each list, so
         # per-query candidate sets re-sort cheaply into the global
         # ascending order the tie contract needs.
-        self.list_rows = np.argsort(labels, kind="stable").astype(np.int64)
+        self.list_rows = stable_order(labels, self.nlist).astype(
+            np.int64, copy=False
+        )
         self.list_offsets = np.concatenate(
             ([0], np.cumsum(counts))
         ).astype(np.int64)

@@ -26,7 +26,7 @@ import numpy as np
 from repro.graphs.builder import BuiltGraphs
 from repro.graphs.types import NodeType
 from repro.storage import DenseStore, EmbeddingStore
-from repro.storage.base import normalize_rows
+from repro.storage.base import normalize_rows, out_of_range, rescaled
 
 __all__ = [
     "cosine_similarities",
@@ -59,10 +59,27 @@ def cosine_similarities(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     rows depending on row position, which would make exact ties (duplicate
     candidates) position-dependent.  ``einsum`` accumulates every row the
     same way, so identical rows always score identically — the tie
-    contract that the batched engine's rank parity relies on.
+    contract that the batched engine's rank parity relies on.  A query or
+    row whose sum of squares under- or overflows is scored after
+    :func:`~repro.storage.base.rescaled`, so every cosine stays in
+    ``[-1, 1]`` up to rounding.
     """
     query_norm = np.linalg.norm(query)
+    if out_of_range(query_norm):
+        query = rescaled(query, query_norm)
+        query_norm = np.linalg.norm(query)
     row_norms = np.linalg.norm(matrix, axis=1)
+    scores = _cosines(query, query_norm, matrix, row_norms)
+    redo = np.flatnonzero(out_of_range(row_norms))
+    if redo.size:
+        rows = rescaled(matrix[redo], row_norms[redo])
+        scores[redo] = _cosines(
+            query, query_norm, rows, np.linalg.norm(rows, axis=1)
+        )
+    return scores
+
+
+def _cosines(query, query_norm, matrix, row_norms) -> np.ndarray:
     denom = query_norm * row_norms
     scores = np.zeros(matrix.shape[0])
     valid = denom > 0

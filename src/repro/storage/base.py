@@ -28,9 +28,44 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EmbeddingStore", "MATRIX_NAMES", "normalize_rows"]
+__all__ = [
+    "EmbeddingStore",
+    "MATRIX_NAMES",
+    "normalize_rows",
+    "out_of_range",
+    "rescaled",
+]
 
 MATRIX_NAMES = ("center", "context")
+
+
+#: ``np.linalg.norm`` squares before it sums, so a vector whose sum of
+#: squares is subnormal (a norm below ``2**-511``) or overflows (an
+#: infinite norm) gets a wrong norm.
+_SMALLEST_SAFE_NORM = 2.0**-511
+
+
+def out_of_range(norms: np.ndarray) -> np.ndarray:
+    """Where a norm's sum of squares under- or overflowed (zeros included)."""
+    return (norms < _SMALLEST_SAFE_NORM) | (norms == np.inf)
+
+
+def rescaled(vectors: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Vectors times ``2**600`` where the norm is small, else ``2**-600``.
+
+    ``norms`` holds one norm per vector (last axis).  A power of two moves
+    only the exponents, so the direction keeps every digit while the
+    squares land in the normal range.
+    """
+    scale = np.where(norms < _SMALLEST_SAFE_NORM, 2.0**600, 2.0**-600)
+    return vectors * scale[..., None]
+
+
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(matrix, axis=1)
+    out = np.zeros_like(matrix, dtype=float)
+    np.divide(matrix, norms[:, None], out=out, where=norms[:, None] > 0)
+    return out, norms
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -41,11 +76,15 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     the out-of-vocabulary convention the query surface relies on.  The
     math is strictly per-row, so normalizing the full matrix and gathering
     a row subset is bit-identical to normalizing the subset directly.
+    Rows whose sum of squares under- or overflows are normalized again
+    after :func:`rescaled`, so a tiny or huge row still comes out with
+    unit norm.
     """
     matrix = np.asarray(matrix)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    out = np.zeros_like(matrix, dtype=float)
-    np.divide(matrix, norms, out=out, where=norms > 0)
+    out, norms = _unit_rows(matrix)
+    redo = np.flatnonzero(out_of_range(norms))
+    if redo.size:
+        out[redo] = _unit_rows(rescaled(matrix[redo], norms[redo]))[0]
     return out
 
 

@@ -9,10 +9,17 @@ cosine-nearest and Euclidean-nearest coincide).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.ann.kmeans import kmeans, kmeans_seeds, nearest_centroid
+from repro.ann.kmeans import (
+    SCORE_BLOCK_BYTES,
+    kmeans,
+    kmeans_seeds,
+    nearest_centroid,
+)
 from repro.core.prediction import normalize_rows
 from repro.hotspots.meanshift import assign_nearest
 
@@ -44,6 +51,22 @@ class TestNearestCentroid:
         full = nearest_centroid(points, centroids)
         chunked = nearest_centroid(points, centroids, chunk_rows=7)
         np.testing.assert_array_equal(full, chunked)
+
+    def test_score_blocks_stay_within_budget(self):
+        """1,024 centroids: one budget-sized score block at a time.
+
+        A single block for all 50,000 rows would allocate 410 MB.
+        """
+        rng = np.random.default_rng(8)
+        points = normalize_rows(rng.normal(size=(50_000, 16)))
+        centroids = normalize_rows(rng.normal(size=(1_024, 16)))
+        tracemalloc.start()
+        try:
+            nearest_centroid(points, centroids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * SCORE_BLOCK_BYTES
 
     def test_ties_resolve_to_lowest_centroid(self):
         points = np.array([[1.0, 0.0]])

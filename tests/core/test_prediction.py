@@ -39,6 +39,40 @@ class TestCosineSimilarities:
         assert scores[0] == 0.0
         assert scores[1] == pytest.approx(1.0)
 
+    def test_tiny_query_stays_bounded(self):
+        # the query's squares (~3.5e-323) are subnormals with a few bits
+        scores = cosine_similarities(
+            np.asarray([5.9e-162, 5.9e-162, 0.0, 0.0]),
+            np.asarray([[1.0, 1.0, 0.0, 0.0]]),
+        )
+        assert scores[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_tiny_and_huge_rows_score_like_unit_rows(self):
+        query = np.asarray([1.0, 2.0, 3.0, 4.0])
+        extreme = np.asarray([
+            [5.9e-162, 5.9e-162, 0.0, 0.0],
+            [3e-170, 0.0, 4e-170, 0.0],  # every square underflows to 0
+            [1e200, 0.0, -1e200, 0.0],  # the squares overflow
+        ])
+        unit = np.asarray([
+            [1.0, 1.0, 0.0, 0.0], [3.0, 0.0, 4.0, 0.0], [1.0, 0.0, -1.0, 0.0],
+        ])
+        with np.errstate(over="ignore"):
+            scores = cosine_similarities(query, extreme)
+        np.testing.assert_allclose(
+            scores, cosine_similarities(query, unit), rtol=1e-15
+        )
+
+    def test_other_rows_are_bit_identical(self):
+        rng = np.random.default_rng(9)
+        query = rng.normal(size=5)
+        normal = rng.normal(size=(6, 5))
+        mixed = np.vstack([normal[:2], 1e-170 * normal[2:3], normal[2:]])
+        scores = cosine_similarities(query, mixed)
+        reference = cosine_similarities(query, normal)
+        np.testing.assert_array_equal(scores[[0, 1, 3, 4, 5, 6]], reference)
+        assert scores[2] == pytest.approx(reference[2], abs=1e-15)
+
     @settings(max_examples=30, deadline=None)
     @given(
         query=arrays(np.float64, 4, elements=st.floats(-5, 5)),

@@ -88,6 +88,35 @@ def _empty_like(store, tmp_path):
     return DenseStore()
 
 
+class TestNormalizeRows:
+    """Rows whose sum of squares under- or overflows still come out unit."""
+
+    def test_tiny_row_has_unit_norm(self):
+        # each square is ~3.5e-323, a subnormal with a few bits left
+        out = normalize_rows(np.asarray([[5.9e-162, 5.9e-162, 0.0, 0.0]]))
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-15)
+
+    def test_row_whose_squares_all_underflow(self):
+        out = normalize_rows(np.asarray([[3e-170, 4e-170]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=1e-15)
+
+    def test_row_whose_squares_overflow(self):
+        with np.errstate(over="ignore"):
+            out = normalize_rows(np.asarray([[1e200, -1e200]]))
+        np.testing.assert_allclose(out, [[0.5**0.5, -(0.5**0.5)]], rtol=1e-15)
+
+    def test_other_rows_are_bit_identical(self):
+        rng = np.random.default_rng(4)
+        normal = rng.normal(size=(6, 5))
+        mixed = np.vstack([normal[:3], 1e-165 * normal[3:4], np.zeros((1, 5)),
+                           normal[3:]])
+        out = normalize_rows(mixed)
+        reference = normalize_rows(normal)
+        np.testing.assert_array_equal(out[[0, 1, 2, 5, 6, 7]], reference)
+        np.testing.assert_array_equal(out[4], 0.0)
+        np.testing.assert_allclose(out[3], reference[3], rtol=1e-15)
+
+
 class TestStoreContract:
     def test_roundtrip(self, store):
         center, context = _matrices()
