@@ -39,13 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.kmeans import (
-    kmeans,
-    kmeans_assign,
-    nearest_centroid,
-    stable_order,
-)
+from repro.ann.kmeans import kmeans, kmeans_assign, nearest_centroid
 from repro.core.prediction import top_k
+from repro.utils.sorting import stable_order
 from repro.utils.validation import check_positive
 
 __all__ = ["IVFIndex", "SearchStats"]

@@ -20,8 +20,9 @@ repository's other mode-seeking clusterer, and shares its conventions:
 * per-cluster means are sort + ``np.add.reduceat`` segment sums.  Here
   they run over the transposed sample (one ``(d, n)`` copy per
   :func:`kmeans` call), so each dimension's segments are contiguous; the
-  labels sort stably on ``int16`` keys (a radix sort) whenever the
-  cluster count fits.
+  labels sort stably on ``int16`` keys (a radix sort, see
+  :func:`~repro.utils.sorting.stable_order`) whenever the cluster count
+  fits.
 
 Seeding is k-means++ (D² sampling): binned grid seeding — mean shift's
 choice — degenerates in the 16-to-64-dimensional embedding spaces this
@@ -42,6 +43,7 @@ import numpy as np
 from repro.hotspots.meanshift import MeanShiftResult
 from repro.storage.base import normalize_rows
 from repro.utils.rng import ensure_rng
+from repro.utils.sorting import stable_order
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "kmeans_assign",
     "kmeans_seeds",
     "nearest_centroid",
-    "stable_order",
 ]
 
 #: Bytes of one assignment score block: a block holds about
@@ -149,17 +150,6 @@ def kmeans_seeds(
         update(seeds[i], dist)
         np.minimum(d2, dist, out=d2)
     return seeds
-
-
-def stable_order(labels: np.ndarray, n_clusters: int) -> np.ndarray:
-    """``np.argsort(labels, kind="stable")``, on int16 keys when they fit.
-
-    A stable order is unique, so the narrower keys (which numpy sorts
-    with a radix sort) give the same permutation.
-    """
-    if n_clusters <= np.iinfo(np.int16).max + 1:
-        labels = labels.astype(np.int16)
-    return np.argsort(labels, kind="stable")
 
 
 def _cluster_means(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
 
 __all__ = ["ActorConfig"]
 
@@ -111,6 +111,9 @@ class ActorConfig:
         check_positive("n_threads", self.n_threads)
         check_positive("spatial_bandwidth", self.spatial_bandwidth)
         check_positive("temporal_bandwidth", self.temporal_bandwidth)
+        # An edge weight: NaN or inf would flow into the alias tables.
+        check_positive("mention_link_weight", self.mention_link_weight)
+        check_finite("mention_link_weight", self.mention_link_weight)
         if self.init_noise < 0:
             raise ValueError(f"init_noise must be >= 0, got {self.init_noise}")
         if self.noise_power < 0:

@@ -559,6 +559,7 @@ def load_online_checkpoint(base: Actor, directory: str | Path):
         raise ValueError("base Actor must be fitted to restore a checkpoint")
 
     def field(name: str):
+        """Manifest entry ``name``; a missing one is a ``BundleFormatError``."""
         return _require(manifest, name, version=version, directory=directory)
 
     base_rows = field("base_rows")

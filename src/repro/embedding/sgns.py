@@ -35,6 +35,8 @@ import threading
 
 import numpy as np
 
+from repro.utils.sorting import stable_order
+
 __all__ = ["sigmoid", "sgns_step", "sgns_step_bow", "sgns_batch_loss"]
 
 _CLIP = 30.0
@@ -97,23 +99,37 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
-def _gather(matrix: np.ndarray, index: np.ndarray, name: str) -> np.ndarray:
-    """``matrix[index]`` (rows) written into scratch slot ``name``.
+def _rows(index: np.ndarray, n: int) -> np.ndarray:
+    """``index`` as row numbers in ``[0, n)``, checked like fancy indexing.
 
-    ``np.take`` with its default ``mode="raise"`` buffers ``out`` through
-    a fresh copy, so bounds are checked here and the take itself wraps:
-    out-of-range rows raise ``IndexError`` exactly as fancy indexing does,
-    and negative rows count from the end.
+    Out-of-range rows raise ``IndexError`` exactly as fancy indexing
+    does, and negative rows count from the end: they come back as their
+    non-negative equivalents, so a scatter sees ``-1`` and ``n - 1`` as
+    one row.  Every kernel checks all its index arrays this way before
+    it gathers or updates anything.
     """
     index = np.asarray(index)
-    n = matrix.shape[0]
-    if index.size and (index.min() < -n or index.max() >= n):
-        bad = index[(index < -n) | (index >= n)].flat[0]
-        raise IndexError(
-            f"index {bad} is out of bounds for axis 0 with size {n}"
-        )
-    out = _scratch.get(name, index.shape + matrix.shape[1:], matrix.dtype)
-    return matrix.take(index, axis=0, out=out, mode="wrap")
+    if index.size:
+        low, high = index.min(), index.max()
+        if low < -n or high >= n:
+            bad = index[(index < -n) | (index >= n)].flat[0]
+            raise IndexError(
+                f"index {bad} is out of bounds for axis 0 with size {n}"
+            )
+        if low < 0:
+            index = np.where(index < 0, index + n, index)
+    return index
+
+
+def _gather(matrix: np.ndarray, rows: np.ndarray, name: str) -> np.ndarray:
+    """``matrix[rows]`` written into scratch slot ``name``.
+
+    ``rows`` come from :func:`_rows`.  ``np.take`` with its default
+    ``mode="raise"`` buffers ``out`` through a fresh copy, so the take
+    wraps instead (a no-op on rows already in range).
+    """
+    out = _scratch.get(name, rows.shape + matrix.shape[1:], matrix.dtype)
+    return matrix.take(rows, axis=0, out=out, mode="wrap")
 
 
 def _scatter_add(
@@ -127,20 +143,24 @@ def _scatter_add(
     With ``value_rows``, row ``rows[i]`` receives ``values[value_rows[i]]``
     (``values`` is then expanded on the fly, never materialized).
 
-    Duplicates are merged by stably sorting the row indices and summing
-    each run with ``np.add.reduceat``; the per-row totals are then added
-    to their rows with one gather, add and put.  Every row therefore gets
-    the same updates as ``np.add.at(matrix, rows, values)`` would apply,
-    but summed before they are added, so the rounding differs from
+    Duplicates are merged by stably sorting the row indices (on ``int16``
+    keys, a radix sort, when the matrix has at most 32,768 rows; see
+    :func:`~repro.utils.sorting.stable_order`) and summing each run with
+    ``np.add.reduceat``; the per-row totals are then added to their rows
+    with one gather, add and put.  Every row therefore gets the same
+    updates as ``np.add.at(matrix, rows, values)`` would apply, but
+    summed before they are added, so the rounding differs from
     ``np.add.at`` (which adds one value at a time).  The sorted values,
     the run sums and the gathered rows live in scratch slots.
 
-    ``rows`` must already be bounds-checked: the kernels gather through
-    every index array (see :func:`_gather`) before they scatter.
+    ``rows`` must lie in ``[0, n)``: the kernels pass every index array
+    through :func:`_rows` first.  A row named twice under different
+    indices (``-1`` and ``n - 1``) would form two runs, and the second
+    write of the row would drop the first's update.
     """
     if rows.size == 0:
         return
-    order = np.argsort(rows, kind="stable")
+    order = stable_order(rows, matrix.shape[0])
     sorted_rows = rows[order]
     starts = np.flatnonzero(
         np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
@@ -282,6 +302,9 @@ def sgns_step(
     -------
     Mean ``J_NEG`` over the batch (before the update), for monitoring.
     """
+    src = _rows(src, center.shape[0])
+    dst = _rows(dst, context.shape[0])
+    neg = _rows(neg, context.shape[0])
     x_i = _gather(center, src, "x_i")                           # (B, d)
     loss, grad_center, grad_pos, grad_neg = _objective(x_i, context, dst, neg)
     _scatter_add(center, src, np.multiply(grad_center, -lr, out=grad_center))
@@ -326,6 +349,9 @@ def sgns_step_bow(
     if (lengths <= 0).any():
         raise ValueError("every bag in the batch must be non-empty")
 
+    flat_words = _rows(flat_words, center.shape[0])
+    dst = _rows(dst, context.shape[0])
+    neg = _rows(neg, context.shape[0])
     word_vecs = _gather(center, flat_words, "words")            # (sumL, d)
     # Sum word vectors per record.  reduceat needs int starts < len.
     bag = np.add.reduceat(                                      # (B, d)

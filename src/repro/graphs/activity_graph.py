@@ -5,16 +5,19 @@ indices), textual units (keywords) and — for the hierarchical framework —
 users.  Edges connect units that co-occur in the same record; "within each
 edge type, the edge weight is set to be the co-occurrence count."
 
-The graph is built incrementally (:meth:`add_node` / :meth:`add_edge`
-accumulate co-occurrence counts in hash maps) and then :meth:`finalize`\\ d
-into array-backed :class:`~repro.graphs.types.EdgeSet` objects plus
-per-edge-type degree vectors — the representation the alias samplers and the
-SGNS trainer consume.
+Nodes are registered one at a time (:meth:`~ActivityGraph.add_node`);
+edges arrive in bulk (:meth:`~ActivityGraph.add_edges`, or one at a time
+through :meth:`~ActivityGraph.add_edge`) and are kept as typed
+``(src, dst, weight)`` arrays in insertion order.
+:meth:`~ActivityGraph.finalize` merges each edge type's repeated edges,
+in first-occurrence order with their weights summed in insertion order,
+into an array-backed :class:`~repro.graphs.types.EdgeSet` plus a
+per-edge-type degree vector — the representation the alias samplers and
+the SGNS trainer consume.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Hashable
 
 import numpy as np
@@ -22,6 +25,44 @@ import numpy as np
 from repro.graphs.types import EdgeSet, EdgeType, NodeType, edge_type_between
 
 __all__ = ["ActivityGraph"]
+
+_NODE_TYPES = tuple(NodeType)
+_CODE = {node_type: code for code, node_type in enumerate(_NODE_TYPES)}
+_EDGE_TYPES = tuple(EdgeType)
+# For a pair of node-type codes: the index of the edge type joining them
+# (every pair of vertex types has one), and whether the first node is that
+# type's second endpoint, so the edge is stored flipped.  Same-type pairs
+# orient by node index instead.
+_PAIR_TYPE = np.array(
+    [[_EDGE_TYPES.index(edge_type_between(a, b)) for b in _NODE_TYPES]
+     for a in _NODE_TYPES],
+    dtype=np.int8,
+)
+_FLIP = np.array(
+    [[a is not b and a is not edge_type_between(a, b).endpoints[0]
+      for b in _NODE_TYPES] for a in _NODE_TYPES]
+)
+
+
+def _merge(
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], n_nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One edge type's accumulated chunks with repeated edges merged.
+
+    Distinct edges keep the order of their first occurrence; each weight
+    is ``0.0`` plus the edge's weights in insertion order (``np.bincount``
+    adds them one at a time), exactly the sum a running per-edge total
+    gives.
+    """
+    src, dst, weight = (np.concatenate(part) for part in zip(*chunks))
+    _, first, inverse = np.unique(
+        src * n_nodes + dst, return_index=True, return_inverse=True
+    )
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    keep = np.sort(first)
+    summed = np.bincount(rank[inverse], weights=weight, minlength=first.size)
+    return src[keep], dst[keep], summed
 
 
 class ActivityGraph:
@@ -36,9 +77,30 @@ class ActivityGraph:
     def __init__(self) -> None:
         self._index: dict[tuple[NodeType, Hashable], int] = {}
         self._nodes: list[tuple[NodeType, Hashable]] = []
-        self._edges: dict[EdgeType, dict[tuple[int, int], float]] = defaultdict(dict)
+        self._codes = bytearray()  # node-type code of every node, by index
+        # Edges added so far, as (src, dst, weight) chunks per edge type in
+        # the order each type first appeared; None once finalized.
+        self._pending: dict[EdgeType, list[tuple[np.ndarray, ...]]] | None = {}
         self._finalized: dict[EdgeType, EdgeSet] | None = None
         self._degrees: dict[EdgeType, np.ndarray] | None = None
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, migrating graphs pickled with per-type edge dicts.
+
+        Older pickles carry an ``_edges`` dict of ``{(src, dst): weight}``
+        per edge type; a finalized graph drops it (its edge sets hold the
+        same edges), an unfinalized one replays it into the accumulator.
+        """
+        edges = state.pop("_edges", None)
+        if edges is not None:
+            state["_codes"] = bytearray(_CODE[t] for t, _ in state["_nodes"])
+            state["_pending"] = None if state["_finalized"] is not None else {}
+        self.__dict__.update(state)
+        if edges and self._pending is not None:
+            for bucket in edges.values():
+                if bucket:
+                    pairs = np.asarray(list(bucket), dtype=np.int64)
+                    self.add_edges(pairs[:, 0], pairs[:, 1], list(bucket.values()))
 
     # ------------------------------------------------------------------ nodes
 
@@ -55,7 +117,7 @@ class ActivityGraph:
         """Total number of distinct (typed) edges."""
         if self._finalized is not None:
             return sum(len(es) for es in self._finalized.values())
-        return sum(len(d) for d in self._edges.values())
+        return sum(len(self._merged(t)[0]) for t in self._pending)
 
     def add_node(self, node_type: NodeType, key: Hashable) -> int:
         """Register ``(node_type, key)`` if new; return its dense index."""
@@ -68,6 +130,7 @@ class ActivityGraph:
         idx = len(self._nodes)
         self._index[handle] = idx
         self._nodes.append(handle)
+        self._codes.append(_CODE[node_type])
         return idx
 
     def index_of(self, node_type: NodeType, key: Hashable) -> int:
@@ -90,87 +153,121 @@ class ActivityGraph:
         """External key (hotspot index / word / user name) of ``index``."""
         return self._nodes[index][1]
 
+    def _node_codes(self) -> np.ndarray:
+        """Node-type codes of every node, as a fresh ``uint8`` array."""
+        return np.frombuffer(bytes(self._codes), dtype=np.uint8)
+
     def nodes_of_type(self, node_type: NodeType) -> np.ndarray:
         """Dense indices of all nodes of ``node_type``, ascending."""
-        return np.asarray(
-            [i for i, (t, _k) in enumerate(self._nodes) if t is node_type],
-            dtype=np.int64,
-        )
+        return np.flatnonzero(self._node_codes() == _CODE[node_type])
 
     # ------------------------------------------------------------------ edges
+
+    def add_edges(self, u, v, weight=1.0) -> None:
+        """Accumulate edges ``{u[i], v[i]}``: :meth:`add_edge` for each ``i``.
+
+        ``weight`` is one value for every edge or one per edge.  Each
+        edge's type is inferred from its endpoint node types and it is
+        stored in that type's canonical orientation (``src`` of type
+        ``endpoints[0]``; same-type edges as ``(min, max)``), so ``{u, v}``
+        and ``{v, u}`` are one edge.  The whole batch is checked before
+        any of it is kept: self-loops (a unit never co-occurs with
+        itself), unknown nodes and weights that are not finite and
+        positive are rejected.
+        """
+        if self._finalized is not None:
+            raise RuntimeError("graph is finalized; no further mutation allowed")
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.ndim != 1 or u.shape != v.shape:
+            raise ValueError("u and v must be one-dimensional and of equal length")
+        weights = np.empty(u.shape, dtype=np.float64)
+        weights[...] = weight
+        if u.size == 0:
+            return
+        n = len(self._nodes)
+        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+            raise IndexError(f"edge endpoint out of range for {n} nodes")
+        loops = u == v
+        if loops.any():
+            raise ValueError(f"self-loop on node {u[loops][0]} is not allowed")
+        bad = ~(np.isfinite(weights) & (weights > 0))
+        if bad.any():
+            raise ValueError(
+                f"edge weight must be finite and positive, got {weights[bad][0]}"
+            )
+        codes = self._node_codes()
+        code_u, code_v = codes[u], codes[v]
+        types = _PAIR_TYPE[code_u, code_v]
+        flip = np.where(code_u == code_v, u > v, _FLIP[code_u, code_v])
+        src, dst = np.where(flip, v, u), np.where(flip, u, v)
+        present, first = np.unique(types, return_index=True)
+        for t in present[np.argsort(first)]:
+            chunk = (src, dst, weights)
+            if present.size > 1:
+                chunk = tuple(part[types == t] for part in chunk)
+            self._pending.setdefault(_EDGE_TYPES[t], []).append(chunk)
 
     def add_edge(self, u: int, v: int, weight: float = 1.0) -> None:
         """Accumulate ``weight`` onto the (typed, undirected) edge ``{u, v}``.
 
-        The edge type is inferred from the endpoint node types; self-loops
-        are rejected (a unit never co-occurs with itself).
+        A one-edge :meth:`add_edges`.
         """
+        self.add_edges([u], [v], weight)
+
+    def _merged(self, edge_type: EdgeType) -> tuple[np.ndarray, ...]:
+        """``(src, dst, weight)`` of ``edge_type``, repeated edges merged."""
         if self._finalized is not None:
-            raise RuntimeError("graph is finalized; no further mutation allowed")
-        if u == v:
-            raise ValueError(f"self-loop on node {u} is not allowed")
-        if weight <= 0:
-            raise ValueError(f"edge weight must be positive, got {weight}")
-        type_u, type_v = self._nodes[u][0], self._nodes[v][0]
-        edge_type = edge_type_between(type_u, type_v)
-        # Canonical orientation: src side matches endpoints[0]; symmetric
-        # types (WW/UU) order by index so {u,v} and {v,u} collide correctly.
-        first, _second = edge_type.endpoints
-        if type_u is type_v:
-            key = (u, v) if u < v else (v, u)
-        elif type_u is first:
-            key = (u, v)
-        else:
-            key = (v, u)
-        bucket = self._edges[edge_type]
-        bucket[key] = bucket.get(key, 0.0) + float(weight)
+            edge_set = self.edge_set(edge_type)
+            return edge_set.src, edge_set.dst, edge_set.weight
+        chunks = self._pending.get(edge_type)
+        if not chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0)
+        return _merge(chunks, len(self._nodes))
 
     def edge_weight(self, u: int, v: int) -> float:
-        """Current co-occurrence weight of ``{u, v}`` (0 if absent)."""
-        type_u, type_v = self._nodes[u][0], self._nodes[v][0]
-        try:
-            edge_type = edge_type_between(type_u, type_v)
-        except KeyError:
-            return 0.0
-        first, _ = edge_type.endpoints
-        if type_u is type_v:
-            key = (u, v) if u < v else (v, u)
-        elif type_u is first:
-            key = (u, v)
-        else:
-            key = (v, u)
-        return self._edges.get(edge_type, {}).get(key, 0.0)
+        """Current co-occurrence weight of ``{u, v}`` (0 if absent).
+
+        A scan of the edge type's arrays (merged first when the graph is
+        not finalized), meant for inspection rather than inner loops.
+        """
+        code_u, code_v = self._codes[u], self._codes[v]
+        if _FLIP[code_u, code_v] or (code_u == code_v and u > v):
+            u, v = v, u
+        src, dst, weight = self._merged(_EDGE_TYPES[_PAIR_TYPE[code_u, code_v]])
+        hit = np.flatnonzero((src == u) & (dst == v))
+        return float(weight[hit[0]]) if hit.size else 0.0
 
     # --------------------------------------------------------------- finalize
 
     def finalize(self) -> None:
         """Freeze the graph into array-backed edge sets and degree vectors.
 
-        Idempotent; after finalization mutation raises.
+        Edge types keep the order in which they were first added.
+        Idempotent; after finalization mutation raises, and the edge
+        accumulator is dropped.
         """
         if self._finalized is not None:
             return
         finalized: dict[EdgeType, EdgeSet] = {}
         degrees: dict[EdgeType, np.ndarray] = {}
         n = len(self._nodes)
-        for edge_type, bucket in self._edges.items():
-            if not bucket:
-                continue
-            pairs = np.asarray(list(bucket.keys()), dtype=np.int64)
-            weights = np.asarray(list(bucket.values()), dtype=np.float64)
-            edge_set = EdgeSet(
-                edge_type=edge_type,
-                src=pairs[:, 0],
-                dst=pairs[:, 1],
-                weight=weights,
+        for edge_type, chunks in self._pending.items():
+            src, dst, weight = _merge(chunks, n)
+            finalized[edge_type] = EdgeSet(
+                edge_type=edge_type, src=src, dst=dst, weight=weight
             )
-            finalized[edge_type] = edge_set
-            degree = np.zeros(n, dtype=np.float64)
-            np.add.at(degree, edge_set.src, edge_set.weight)
-            np.add.at(degree, edge_set.dst, edge_set.weight)
-            degrees[edge_type] = degree
+            # Every src contribution, then every dst one, each added in
+            # edge order: the sums two np.add.at passes give.
+            degrees[edge_type] = np.bincount(
+                np.concatenate((src, dst)),
+                weights=np.concatenate((weight, weight)),
+                minlength=n,
+            )
         self._finalized = finalized
         self._degrees = degrees
+        self._pending = None
 
     @property
     def edge_sets(self) -> dict[EdgeType, EdgeSet]:

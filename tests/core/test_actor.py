@@ -80,6 +80,11 @@ class TestPersistence:
         tiny_actor.save(path)
         loaded = Actor.load(path)
         np.testing.assert_array_equal(loaded.center, tiny_actor.center)
+        # The graph travels as edge arrays: no accumulator, no edge dicts.
+        graph = loaded.built.activity
+        assert graph._pending is None
+        assert "_edges" not in vars(graph)
+        assert list(graph.edge_sets) == list(tiny_actor.built.activity.edge_sets)
         record = dataset.test[0]
         original = tiny_actor.score_candidates(
             target="text",

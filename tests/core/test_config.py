@@ -47,6 +47,10 @@ class TestActorConfig:
             ("spatial_bandwidth", 0.0),
             ("temporal_bandwidth", -1.0),
             ("init_noise", -0.1),
+            ("mention_link_weight", float("nan")),
+            ("mention_link_weight", float("inf")),
+            ("mention_link_weight", 0.0),
+            ("mention_link_weight", -1.0),
         ],
     )
     def test_rejects_invalid(self, field, value):

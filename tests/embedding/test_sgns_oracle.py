@@ -27,6 +27,7 @@ def _scatter_add(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> No
     """``matrix[rows] += values`` with duplicate rows summed first."""
     if rows.size == 0:
         return
+    rows = np.where(rows < 0, rows + matrix.shape[0], rows)  # -1 is row n-1
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
     starts = np.flatnonzero(
@@ -217,6 +218,22 @@ class TestScatterAdd:
             sgns._scatter_add(new, rows, values)
             assert np.array_equal(ref, new)
 
+    @pytest.mark.parametrize(
+        "n", [32_768, 32_769], ids=["int16-keys", "int64-keys"]
+    )
+    def test_either_side_of_the_radix_sort_bound(self, n):
+        """Rows sort as ``int16`` up to 32,768 rows and as ``int64`` above."""
+        rng = np.random.default_rng(n)
+        rows = np.concatenate(
+            (rng.integers(0, n, 3000), [n - 1, 0, n - 1, n - 2, n - 1])
+        )
+        values = rng.normal(size=(rows.size, 2))
+        ref = rng.normal(size=(n, 2))
+        new = ref.copy()
+        _scatter_add(ref, rows, values)
+        sgns._scatter_add(new, rows, values)
+        assert np.array_equal(ref, new)
+
     def test_empty_rows_are_a_no_op(self):
         matrix = np.ones((3, 2))
         no_rows = np.asarray([], dtype=np.int64)
@@ -241,6 +258,35 @@ class TestIndexSemantics:
                 sgns_step_bow(*ref, flat, offsets, dst, neg, 0.05),
                 sgns.sgns_step_bow(*new, flat, offsets, dst, neg, 0.05),
             )
+
+    @pytest.mark.parametrize("field", ["src", "dst", "neg"])
+    def test_minus_one_and_last_row_are_one_row(self, field):
+        """A batch naming row ``n - 1`` once as ``-1`` and once as ``n - 1``
+        updates it exactly as naming it ``n - 1`` twice does."""
+        rng = np.random.default_rng(10)
+        center, context = random_matrices(rng, 8)
+        batch = {"src": np.array([0, 1]), "dst": np.array([2, 3]),
+                 "neg": np.array([[1], [2]])}
+        shape = batch[field].shape
+        results = []
+        for rows in ([N_ROWS - 1, N_ROWS - 1], [N_ROWS - 1, -1]):
+            batch[field] = np.array(rows).reshape(shape)
+            c, x = center.copy(), context.copy()
+            loss = sgns.sgns_step(c, x, batch["src"], batch["dst"],
+                                  batch["neg"], 0.1)
+            results.append((c, x, loss))
+        assert_same(results[0][:2], results[1][:2], results[0][2], results[1][2])
+
+    def test_minus_one_and_last_row_are_one_word(self):
+        rng = np.random.default_rng(11)
+        center, context = random_matrices(rng, 8)
+        offsets, dst, neg = np.array([0, 2, 3]), np.array([2, 3]), np.array([[1], [2]])
+        results = []
+        for flat in ([N_ROWS - 1, 0, N_ROWS - 1], [N_ROWS - 1, 0, -1]):
+            c, x = center.copy(), context.copy()
+            loss = sgns.sgns_step_bow(c, x, np.array(flat), offsets, dst, neg, 0.1)
+            results.append((c, x, loss))
+        assert_same(results[0][:2], results[1][:2], results[0][2], results[1][2])
 
     @pytest.mark.parametrize("bad", [N_ROWS, -N_ROWS - 1])
     @pytest.mark.parametrize("field", ["src", "dst", "neg"])

@@ -1,5 +1,7 @@
 """Tests for the heterogeneous activity graph."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,36 @@ class TestEdges:
         with pytest.raises(ValueError, match="positive"):
             g.add_edge(t, l, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_weights_that_are_not_finite_and_positive(self, bad):
+        g = ActivityGraph()
+        t = g.add_node(NodeType.TIME, 0)
+        loc = g.add_node(NodeType.LOCATION, 0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            g.add_edge(t, loc, bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            g.add_edges([t, loc], [loc, t], [1.0, bad])
+        g.finalize()
+        assert g.n_edges == 0  # a rejected batch keeps none of its edges
+
+    def test_bulk_batch_is_checked_before_any_edge_is_kept(self):
+        g = ActivityGraph()
+        t = g.add_node(NodeType.TIME, 0)
+        loc = g.add_node(NodeType.LOCATION, 0)
+        w = g.add_node(NodeType.WORD, "a")
+        with pytest.raises(ValueError, match="self-loop"):
+            g.add_edges([t, w], [loc, w])
+        with pytest.raises(IndexError):
+            g.add_edges([t, loc], [loc, 3])
+        with pytest.raises(IndexError):
+            g.add_edges([t, -1], [loc, t])
+        assert g.n_edges == 0
+        g.add_edges([w, t, loc], [loc, loc, w], [1.0, 2.0, 0.5])
+        assert g.edge_weight(loc, w) == 1.5
+        assert g.edge_weight(t, loc) == 2.0
+        g.finalize()
+        assert list(g.edge_sets) == [EdgeType.LW, EdgeType.TL]
+
     def test_edge_weight_of_unconnectable_pair_is_zero(self, tiny_graph):
         g, nodes = tiny_graph
         assert g.edge_weight(nodes["w2"], nodes["t"]) == 0.0
@@ -138,6 +170,16 @@ class TestFinalize:
         assert g.n_edges == 8
         g.finalize()
         assert g.n_edges == 8
+
+    def test_finalized_graph_pickles_arrays_only(self, tiny_graph):
+        g, nodes = tiny_graph
+        g.finalize()
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded._pending is None
+        assert "_edges" not in vars(loaded)
+        assert list(loaded.edge_sets) == list(g.edge_sets)
+        assert loaded.edge_weight(nodes["l"], nodes["t"]) == 1.0
+        assert loaded.edge_weight(nodes["w2"], nodes["t"]) == 0.0
 
     def test_empty_type_returns_empty_edge_set(self, tiny_graph):
         g, _ = tiny_graph

@@ -142,6 +142,19 @@ class TestSmoothing:
         assert len(built.activity.edge_set(EdgeType.LL)) > 0
         assert len(built.activity.edge_set(EdgeType.TT)) > 0
 
+    def test_zero_spatial_neighbors_adds_tt_only(self):
+        """``k=1`` KD-tree queries return a flat index array."""
+        builder = GraphBuilder(
+            detector=HotspotDetector(
+                spatial_bandwidth=1.0, temporal_bandwidth=1.0, min_support=1
+            ),
+            neighbor_smoothing=True,
+            spatial_neighbors=0,
+        )
+        built = builder.build(two_record_corpus())
+        assert len(built.activity.edge_set(EdgeType.LL)) == 0
+        assert len(built.activity.edge_set(EdgeType.TT)) > 0
+
     def test_no_smoothing_by_default(self, built_small):
         assert len(built_small.activity.edge_set(EdgeType.LL)) == 0
         assert len(built_small.activity.edge_set(EdgeType.TT)) == 0
